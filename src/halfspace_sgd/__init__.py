@@ -7,7 +7,7 @@ gradients.
 
 __version__ = "0.1.0"
 
-from .geometry import angle_between, halfspace_label, halfspace_labels, project_to_sphere, unit_vector
+from .geometry import angle_between, halfspace_labels, project_to_sphere, unit_vector
 from .distributions import (
     DistributionSpec,
     gaussian,
@@ -20,28 +20,10 @@ from .distributions import (
     well_behaved_params,
     z_for_tail_mass,
 )
-from .losses import (
-    ConvexSurrogate,
-    convex_grad_sample,
-    convex_loss_sample,
-    convex_surrogate,
-    sigmoid,
-    surrogate_grad_sample,
-    surrogate_loss_sample,
-)
-from .noise import (
-    LabeledDataset,
-    LabeledExample,
-    NoiseModel,
-    apply_noise,
-    clean_labels,
-    far_flip,
-    make_dataset,
-    random_flip,
-    region_membership,
-)
-from .optimizer import IterateList, PsgdConfig, iteration_budget, min_grad_iterate, psgd_run
-from .learner import LearnerConfig, TrialReport, estimate_err01, learn, select_best, sigma_grid
+from .losses import ConvexSurrogate, convex_surrogate, sigmoid
+from .noise import LabeledDataset, NoiseModel, clean_labels, far_flip, make_dataset, random_flip
+from .optimizer import PsgdConfig
+from .learner import LearnerConfig, TrialReport, estimate_err01, learn
 from .oracle import (
     ConeScanReport,
     QuadratureSpec,

@@ -6,9 +6,9 @@ stochastic noise. For the smooth losses (logistic, squared hinge) a damped
 Newton iteration with Armijo backtracking gets there in a handful of steps
 even on heavy-tailed data where plain gradient descent is hopeless (the
 minimizer norm is ~20 and the curvature ratio ~1e4). The hinge is not
-differentiable, so it gets averaged subgradient descent with a decaying step
-and reports the best subgradient norm it saw; callers that need a certified
-stationary point should use a smooth loss.
+differentiable, so it gets plain subgradient descent with a decaying step
+that returns its best iterate, the one with the smallest subgradient norm;
+callers that need a certified stationary point should use a smooth loss.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def full_batch_minimize(loss: ConvexSurrogate, X, y, w0=None, gtol: float = 1e-6
     """Minimize mean l(-y <x, w>) over w; returns (w, grad_norm, iterations).
 
     Deterministic given (loss, X, y, w0). Newton with backtracking for the
-    smooth losses; averaged subgradient descent (best-iterate) for the hinge.
+    smooth losses; for the hinge, plain subgradient descent that returns the
+    iterate with the smallest subgradient norm.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -33,7 +33,7 @@ from . import distributions as dist
 from .baselines import full_batch_minimize
 from .geometry import angle_between, unit_vector
 from .learner import LearnerConfig, derive_seed, learn_batch
-from .losses import convex_surrogate
+from .losses import CONVEX_KINDS, convex_surrogate
 from .noise import far_flip, make_dataset
 from .oracle import QuadratureSpec, admissible_theta, predicted_floor, scan_cone
 
@@ -58,17 +58,21 @@ def _str_list(v: str) -> tuple[str, ...]:
 
 
 _COMMON = {
-    "family": (str, "gaussian"),
     "s": (float, 3.0),
-    "d": (int, 2),
+    "out": (str, None),
+}
+
+_TRIALS = {
+    **_COMMON,
+    "family": (str, "gaussian"),
     "seeds": (int, 10),
     "seed_base": (int, 1000),
-    "out": (str, None),
 }
 
 _SCHEMAS = {
     "learn": {
-        **_COMMON,
+        **_TRIALS,
+        "d": (int, 2),
         "opt_list": (_float_list, (0.005, 0.01, 0.02, 0.05)),
         "epsilon": (float, 0.01),
         "delta": (float, 0.01),
@@ -81,7 +85,7 @@ _SCHEMAS = {
         "stride": (int, 400),
     },
     "compare": {
-        **_COMMON,
+        **_TRIALS,
         "opt_list": (_float_list, (0.01, 0.001)),
         "losses": (_str_list, ("logistic",)),
         "t_cap": (int, 200_000),
@@ -136,9 +140,7 @@ def _make_spec(family: str, d: int, s: float):
         return dist.gaussian(d)
     if family == "logconcave":
         return dist.log_concave()
-    if family == "heavy_tailed":
-        return dist.heavy_tailed(s)
-    raise ConfigError(f"unknown family {family!r}")
+    return dist.heavy_tailed(s)
 
 
 def _fmt(v) -> str:
@@ -331,7 +333,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed-offset", type=int, default=0)
         p.add_argument("--timing", action="store_true")
     args = parser.parse_args(argv)
 
@@ -340,6 +341,8 @@ def main(argv=None) -> int:
         out_path = args.out or cfg.get("out")
         if not out_path:
             raise ConfigError("no output path: pass --out or set 'out' in the config")
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         if cfg.get("seeds", 1) < 1:
             raise ConfigError("seeds must be >= 1")
         if args.command in ("learn", "sweep", "compare"):
@@ -349,14 +352,23 @@ def main(argv=None) -> int:
                 raise ConfigError("opt_list values must lie in (0, 1/2)")
         if args.command == "lowerbound" and (not cfg["families"] or not cfg["losses"]):
             raise ConfigError("families and losses must be nonempty")
-        if args.command in ("compare",) and cfg["d"] != 2:
-            raise ConfigError("compare runs on the 2D families; set d = 2")
+        families = cfg["families"] if args.command == "lowerbound" else (cfg["family"],)
+        for family in families:
+            if family not in dist.FAMILIES:
+                raise ConfigError(f"unknown family {family!r}; expected one of {dist.FAMILIES}")
+        for kind in cfg.get("losses", ()):
+            if kind not in CONVEX_KINDS:
+                raise ConfigError(f"unknown loss {kind!r}; expected one of {CONVEX_KINDS}")
+        if cfg.get("d", 2) != 2 and cfg["family"] != "gaussian":
+            raise ConfigError(f"the {cfg['family']} family is defined only for d = 2")
+        if "heavy_tailed" in families and not cfg["s"] > 2.0:
+            raise ConfigError("heavy_tailed needs s > 2")
     except ConfigError as exc:
         print(f"halfspace-bench: config error: {exc}", file=sys.stderr)
         return 2
 
-    seeds = [cfg["seed_base"] + args.seed_offset + j for j in range(cfg["seeds"])]
-
+    if args.command != "lowerbound":
+        seeds = [cfg["seed_base"] + j for j in range(cfg["seeds"])]
     if args.command in ("learn", "sweep"):
         header = _SWEEP_HEADER if args.command == "sweep" else _LEARN_HEADER
         groups = [(cfg, opt, seeds, args.timing, args.command == "sweep") for opt in cfg["opt_list"]]

@@ -43,9 +43,8 @@ __all__ = [
     "heavy_tailed",
     "solve_isotropic_params",
     "sample",
-    "density2d",
+    "SampleStream",
     "radial_density",
-    "radial_pdf",
     "radial_cdf",
     "radial_tail_mass",
     "truncated_first_moment",
@@ -144,31 +143,6 @@ def radial_density(spec: DistributionSpec, r):
         out = (6.0 / math.pi) * np.exp(-_C_LC * r)
     else:
         out = spec.b_s / (r / spec.a_s + 1.0) ** (2.0 + spec.s)
-    return float(out) if out.ndim == 0 else out
-
-
-def density2d(spec: DistributionSpec, x):
-    """Density at a point (or rows of points) in R^2."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2:
-        raise ValueError("density2d expects points in R^2")
-    return radial_density(spec, np.sqrt(np.sum(x * x, axis=-1)))
-
-
-def radial_pdf(spec: DistributionSpec, r):
-    """pdf of the radius ||x|| (any supported dim)."""
-    r = np.asarray(r, dtype=float)
-    if spec.family == "gaussian":
-        d = spec.dim
-        logpdf = (
-            (d - 1) * np.log(np.maximum(r, 1e-300))
-            - r * r / 2.0
-            - (d / 2.0 - 1.0) * math.log(2.0)
-            - math.lgamma(d / 2.0)
-        )
-        out = np.where(r > 0, np.exp(logpdf), 0.0 if d > 1 else 1.0)
-    else:
-        out = 2.0 * math.pi * r * radial_density(spec, r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -323,15 +297,12 @@ def _invert_radial_tail(spec: DistributionSpec, t: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. points from the marginal; deterministic given (spec, seed).
+def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n i.i.d. points from the marginal, drawn from rng.
 
     Gaussian: standard normal per coordinate. 2D radial families: uniform
     angle, radius by inverse CDF of the radial marginal.
     """
-    if n < 1:
-        raise ValueError("need n >= 1 samples")
-    rng = np.random.default_rng(seed)
     if spec.family == "gaussian":
         return rng.standard_normal((n, spec.dim))
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
@@ -340,22 +311,23 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     return r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
 
 
+def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. points; deterministic given (spec, seed) and bitwise
+    equal to SampleStream(spec, seed).take(n)."""
+    if n < 1:
+        raise ValueError("need n >= 1 samples")
+    return _draw(spec, np.random.default_rng(seed), n)
+
+
 class SampleStream:
     """Seeded, chunked source of i.i.d. points; one PSGD pass consumes one stream."""
 
     def __init__(self, spec: DistributionSpec, seed: int):
         self.spec = spec
-        self.seed = int(seed)
         self._rng = np.random.default_rng(seed)
 
     def take(self, k: int) -> np.ndarray:
-        spec = self.spec
-        if spec.family == "gaussian":
-            return self._rng.standard_normal((k, spec.dim))
-        phi = self._rng.uniform(0.0, 2.0 * math.pi, k)
-        u = self._rng.random(k)
-        r = _invert_radial_tail(spec, 1.0 - u)
-        return r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        return _draw(self.spec, self._rng, k)
 
 
 # ---------------------------------------------------------------------------

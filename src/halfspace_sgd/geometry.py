@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "project_to_sphere",
     "angle_between",
-    "halfspace_label",
     "halfspace_labels",
     "unit_vector",
     "rotate2d",
@@ -59,17 +58,8 @@ def angle_between(u, v) -> float:
     return float(np.arccos(min(1.0, max(-1.0, dot))))
 
 
-def halfspace_label(w, x) -> int:
-    """sign(<w, x>) with sign(0) = +1."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if w.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {w.shape} vs {x.shape}")
-    return 1 if float(np.dot(w, x)) >= 0.0 else -1
-
-
 def halfspace_labels(w, X) -> np.ndarray:
-    """Vectorized halfspace_label over the rows of X; returns float +/-1."""
+    """sign(<w, x>) with sign(0) = +1 for every row x of X; returns float +/-1."""
     w = np.asarray(w, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != w.shape[0]:

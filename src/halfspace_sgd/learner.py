@@ -25,27 +25,17 @@ import numpy as np
 from . import distributions as dist
 from .geometry import angle_between, halfspace_labels
 from .noise import NoiseModel, make_dataset
-from .optimizer import (
-    NoisyExampleStream,
-    PsgdConfig,
-    batch_grad_norms,
-    psgd_lockstep,
-    psgd_run,
-)
+from .optimizer import NoisyExampleStream, PsgdConfig, batch_grad_norms, psgd_lockstep
 
 __all__ = [
     "LearnerConfig",
     "CandidateList",
     "TrialReport",
     "SigmaDiagnostic",
-    "sigma_grid",
     "c_const_for",
     "default_holdout_size",
-    "run_for_sigma",
     "estimate_err01",
     "zero_one_errors",
-    "select_best",
-    "select_best_detailed",
     "learn",
     "learn_batch",
     "derive_seed",
@@ -87,24 +77,6 @@ def c_const_for(family: str) -> float:
     return p.R**4 / (2.0**15 * p.U**3)
 
 
-def sigma_grid(epsilon: float, c_const: float) -> list[float]:
-    """The arithmetic width grid {C eps, (C+1) eps, ..., C}.
-
-    Degenerates to the single point {C} when eps >= C. Size O(1/eps).
-    """
-    if epsilon <= 0 or c_const <= 0:
-        raise ValueError("epsilon and c_const must be positive")
-    if epsilon >= c_const:
-        return [c_const]
-    values = []
-    k = 0
-    while (c_const + k) * epsilon < c_const:
-        values.append((c_const + k) * epsilon)
-        k += 1
-    values.append(c_const)
-    return values
-
-
 def default_holdout_size(d: int, epsilon: float, delta: float, c_H: float = 2.0) -> int:
     """max(1e4, ceil(ln(d/(eps delta))/eps^2) * c_H)."""
     return max(10_000, int(math.ceil(math.log(d / (epsilon * delta)) / epsilon**2) * c_H))
@@ -120,12 +92,6 @@ class CandidateList:
     def __post_init__(self):
         if self.vectors.ndim != 2 or self.vectors.shape[0] == 0:
             raise ValueError("candidate list must be a nonempty (m, d) array")
-
-
-def run_for_sigma(sigma: float, training_stream, config: LearnerConfig) -> CandidateList:
-    """One PSGD pass at width sigma; the full iterate list is the candidates."""
-    psgd = PsgdConfig(T=config.t_cap, sigma=sigma, rho=config.rho, seed=getattr(training_stream, "seed", 0))
-    return CandidateList(sigma, psgd_run(training_stream, psgd).vectors)
 
 
 def estimate_err01(w, dataset) -> float:
@@ -176,35 +142,11 @@ def _zero_one_errors_2d(W: np.ndarray, dataset) -> np.ndarray:
     return covered / len(dataset)
 
 
-@dataclass
-class Selection:
-    w: np.ndarray
-    sigma: float
-    list_index: int
-    iterate_index: int
-    holdout_err: float
-    per_list_best: list[float]
-
-
-def select_best_detailed(candidates: list[CandidateList], holdout) -> Selection:
-    if not candidates:
-        raise ValueError("no candidate lists")
-    best = None
-    per_list = []
-    for li, cl in enumerate(candidates):
-        errs = zero_one_errors(cl.vectors, holdout)
-        ii = int(np.argmin(errs))
-        per_list.append(float(errs[ii]))
-        if best is None or errs[ii] < best.holdout_err:
-            best = Selection(cl.vectors[ii].copy(), cl.sigma, li, ii, float(errs[ii]), [])
-    best.per_list_best = per_list
-    return best
-
-
-def select_best(candidates: list[CandidateList], holdout) -> np.ndarray:
-    """The candidate with minimal holdout zero-one error; ties break by grid
-    order then iterate order (argmin with strict < across lists)."""
-    return select_best_detailed(candidates, holdout).w
+def _select(per_list_errs) -> tuple[int, int]:
+    """(list index, iterate index) of the least holdout error; ties go to the
+    earlier list (grid order), then to the earlier iterate."""
+    li = min(range(len(per_list_errs)), key=lambda i: per_list_errs[i].min())
+    return li, int(np.argmin(per_list_errs[li]))
 
 
 @dataclass
@@ -237,63 +179,47 @@ class TrialReport:
     per_sigma: list[SigmaDiagnostic] = field(default_factory=list)
 
 
-def _strided_candidates(spec, model: NoiseModel, config: LearnerConfig, seed: int):
-    """Candidate lists for one trial, all grid widths advanced in lockstep."""
-    streams = [
-        NoisyExampleStream(spec, model, derive_seed(seed, 1, i)) for i in range(len(config.grid))
-    ]
-    configs = [
-        PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho, seed=streams[i].seed, dim=spec.dim)
-        for i, s in enumerate(config.grid)
-    ]
-    out = psgd_lockstep(streams, configs, keep_every=config.candidate_stride)
-    return [CandidateList(s, out.kept[i]) for i, s in enumerate(config.grid)]
-
-
 def learn(spec, model: NoiseModel, config: LearnerConfig, seed: int,
           opt_target: float = float("nan")) -> TrialReport:
     """Grid sweep -> per-sigma candidates -> holdout selection -> report."""
-    t0 = time.perf_counter()
-    candidates = _strided_candidates(spec, model, config, seed)
-    return _trial_report(spec, model, config, seed, opt_target, candidates, t0)
+    return learn_batch(spec, model, config, [seed], opt_target)[0]
 
 
 def learn_batch(spec, model: NoiseModel, config: LearnerConfig, seeds,
                 opt_target: float = float("nan")) -> list[TrialReport]:
     """learn() for many seeds with all (seed, sigma) runs advanced in one
     lockstep batch; row-local arithmetic makes each report identical to its
-    solo learn() (wall_ms aside)."""
+    solo learn() (wall_ms aside).
+
+    wall_ms is per trial: an equal share of the lockstep time plus the time
+    of the trial's own selection and evaluation.
+    """
     t0 = time.perf_counter()
     seeds = list(seeds)
     g = len(config.grid)
-    streams, configs = [], []
-    for seed in seeds:
-        for i, s in enumerate(config.grid):
-            st = NoisyExampleStream(spec, model, derive_seed(seed, 1, i))
-            streams.append(st)
-            configs.append(PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho, seed=st.seed, dim=spec.dim))
+    streams = [NoisyExampleStream(spec, model, derive_seed(seed, 1, i)) for seed in seeds for i in range(g)]
+    configs = [PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho) for _ in seeds for s in config.grid]
     out = psgd_lockstep(streams, configs, keep_every=config.candidate_stride)
+    shared_s = (time.perf_counter() - t0) / len(seeds)
     reports = []
     for si, seed in enumerate(seeds):
         candidates = [CandidateList(s, out.kept[si * g + i]) for i, s in enumerate(config.grid)]
-        reports.append(_trial_report(spec, model, config, seed, opt_target, candidates, t0))
+        reports.append(_trial_report(spec, model, config, seed, opt_target, candidates, shared_s))
     return reports
 
 
 def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
-                  opt_target: float, candidates: list[CandidateList], t0: float) -> TrialReport:
+                  opt_target: float, candidates: list[CandidateList], shared_s: float) -> TrialReport:
+    t0 = time.perf_counter()
     n_hold = config.holdout_size or default_holdout_size(spec.dim, config.epsilon, config.delta, config.c_H)
     holdout = make_dataset(spec, model, n_hold, derive_seed(seed, 2))
     eval_ds = make_dataset(spec, model, config.eval_size, derive_seed(seed, 3))
     per_list_errs = [zero_one_errors(cl.vectors, holdout) for cl in candidates]
 
-    sel = None
     per_sigma = []
     diag_batch = min(config.grad_diag_batch, n_hold)
-    for li, (cl, errs) in enumerate(zip(candidates, per_list_errs)):
+    for cl, errs in zip(candidates, per_list_errs):
         ii = int(np.argmin(errs))
-        if sel is None or errs[ii] < sel.holdout_err:
-            sel = Selection(cl.vectors[ii].copy(), cl.sigma, li, ii, float(errs[ii]), [])
         grad_norms = batch_grad_norms(cl.vectors[:: max(1, len(cl.vectors) // 50)], holdout, cl.sigma, diag_batch)
         min_grad = float(np.min(grad_norms))
         per_sigma.append(
@@ -307,6 +233,9 @@ def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
                 reached_rho=min_grad <= config.rho,
             )
         )
+    li, ii = _select(per_list_errs)
+    best = candidates[li]
+    w = best.vectors[ii]
 
     c_const = c_const_for(spec.family)
     return TrialReport(
@@ -315,12 +244,12 @@ def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
         d=spec.dim,
         opt_target=float(opt_target),
         measured_noise_rate=eval_ds.noise_rate,
-        sigma_best=sel.sigma,
-        err01=estimate_err01(sel.w, eval_ds),
-        angle_to_wstar=angle_between(sel.w, model.w_star),
+        sigma_best=best.sigma,
+        err01=estimate_err01(w, eval_ds),
+        angle_to_wstar=angle_between(w, model.w_star),
         T_used=config.t_cap,
-        beta=PsgdConfig(T=config.t_cap, sigma=sel.sigma, rho=config.rho).step_size,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
+        beta=PsgdConfig(T=config.t_cap, sigma=best.sigma, rho=config.rho).step_size,
+        wall_ms=(shared_s + time.perf_counter() - t0) * 1e3,
         c_const=c_const,
         holdout_size=n_hold,
         opt_exceeds_constant=bool(opt_target >= c_const) if not math.isnan(opt_target) else True,

@@ -8,8 +8,8 @@ conventions:
 * the convex surrogates act on the *unnormalized* margin ``-y <x, w>``
   (the classical objective the lower-bound oracle certifies against).
 
-Per-sample gradients are exact; batch variants operate row-wise and are the
-workhorses of the optimizer and the full-batch baselines.
+Gradients are exact and computed over rows: one per (iterate, example) pair
+for the optimizer, the dataset mean for the full-batch baselines.
 """
 
 from __future__ import annotations
@@ -21,18 +21,14 @@ import numpy as np
 __all__ = [
     "sigmoid",
     "sigmoid_slope",
-    "surrogate_loss_sample",
-    "surrogate_grad_sample",
     "surrogate_grad_rows",
     "ConvexSurrogate",
     "convex_surrogate",
-    "convex_loss_sample",
-    "convex_grad_sample",
     "convex_loss_mean",
     "convex_grad_mean",
 ]
 
-_CONVEX_KINDS = ("logistic", "hinge", "squared_hinge")
+CONVEX_KINDS = ("logistic", "hinge", "squared_hinge")
 
 
 def sigmoid(t, sigma: float = 1.0):
@@ -61,44 +57,15 @@ def sigmoid_slope(t, sigma: float = 1.0):
     return s * (1.0 - s) / sigma
 
 
-def _normalized_margin(w: np.ndarray, x: np.ndarray, y: float) -> float:
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        raise ValueError("weight vector must be nonzero")
-    return -y * float(np.dot(w, x)) / norm
-
-
-def surrogate_loss_sample(w, x, y, sigma: float) -> float:
-    """Sigmoid surrogate S_sigma(-y <w,x> / ||w||) for one example.
-
-    Invariant under positive scaling of w; value in (0, 1); equals 1/2 on the
-    decision boundary.
-    """
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return float(sigmoid(_normalized_margin(w, x, y), sigma))
-
-
-def surrogate_grad_sample(w, x, y, sigma: float) -> np.ndarray:
-    """Gradient in w of surrogate_loss_sample.
+def surrogate_grad_rows(W, X, y, sigma: float) -> np.ndarray:
+    """Gradient in w of the sigmoid surrogate S_sigma(-y <w,x> / ||w||), one
+    per row (W[i], X[i], y[i]).
 
     With h(w, x) = <w,x>/||w|| and grad h = x/||w|| - <w,x> w/||w||^3, the
-    gradient is S'_sigma(-y h) * (-y) * grad h. For unit-norm w the result is
-    orthogonal to w (grad h is, by construction). Delegates to the row
-    version so scalar and batched paths are bit-identical.
-    """
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if float(np.sum(w * w)) == 0.0:
-        raise ValueError("weight vector must be nonzero")
-    return surrogate_grad_rows(w[None, :], x[None, :], np.array([float(y)]), sigma)[0]
-
-
-def surrogate_grad_rows(W, X, y, sigma: float) -> np.ndarray:
-    """Row-wise surrogate_grad_sample: one gradient per (W[i], X[i], y[i]).
-
-    W and X are (k, d); y is (k,). Used by the optimizer, where every step
-    pairs the current iterate with one fresh example.
+    gradient is S'_sigma(-y h) * (-y) * grad h; for unit-norm w it is
+    orthogonal to w. W and X are (k, d); y is (k,); sigma is a scalar or one
+    width per row. Used by the optimizer, where every step pairs the current
+    iterate with one fresh example.
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -147,33 +114,20 @@ class ConvexSurrogate:
 
 
 def convex_surrogate(kind: str) -> ConvexSurrogate:
-    if kind not in _CONVEX_KINDS:
-        raise ValueError(f"unknown convex surrogate kind {kind!r}; expected one of {_CONVEX_KINDS}")
+    if kind not in CONVEX_KINDS:
+        raise ValueError(f"unknown convex surrogate kind {kind!r}; expected one of {CONVEX_KINDS}")
     return ConvexSurrogate(kind)
 
 
-def convex_loss_sample(w, x, y, surrogate: ConvexSurrogate) -> float:
-    """l(-y <x, w>); note the margin here is NOT normalized by ||w||."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return float(surrogate.value(-y * float(np.dot(x, w))))
-
-
-def convex_grad_sample(w, x, y, surrogate: ConvexSurrogate) -> np.ndarray:
-    """-y * x * l'(-y <x, w>)."""
-    w = np.asarray(w, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return (-y * float(surrogate.slope(-y * float(np.dot(x, w))))) * x
-
-
 def convex_loss_mean(w, X, y, surrogate: ConvexSurrogate) -> float:
-    """Empirical mean of convex_loss_sample over a dataset."""
+    """Empirical mean of l(-y <x, w>) over a dataset; the margin is NOT
+    normalized by ||w||."""
     t = -np.asarray(y, dtype=float) * (np.asarray(X, dtype=float) @ np.asarray(w, dtype=float))
     return float(np.mean(surrogate.value(t)))
 
 
 def convex_grad_mean(w, X, y, surrogate: ConvexSurrogate) -> np.ndarray:
-    """Empirical mean of convex_grad_sample over a dataset."""
+    """Empirical mean of -y x l'(-y <x, w>) over a dataset."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     t = -y * (X @ np.asarray(w, dtype=float))

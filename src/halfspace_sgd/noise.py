@@ -21,10 +21,8 @@ least-aligned coordinate axis.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,18 +30,12 @@ from .geometry import halfspace_labels, project_to_sphere, rotate2d
 
 __all__ = [
     "NoiseModel",
-    "LabeledExample",
     "LabeledDataset",
     "clean_labels",
     "far_flip",
     "random_flip",
-    "label_clean",
-    "region_membership",
-    "apply_noise",
     "corrupt_labels",
     "make_dataset",
-    "save_dataset_csv",
-    "load_dataset_csv",
 ]
 
 
@@ -110,51 +102,17 @@ def random_flip(w_star, eta: float) -> NoiseModel:
     return NoiseModel("random_flip", project_to_sphere(w_star), eta=float(eta))
 
 
-def label_clean(w_star, x) -> int:
-    """sign(<w*, x>), the uncorrupted label."""
-    w_star = np.asarray(w_star, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if w_star.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {w_star.shape} vs {x.shape}")
-    return 1 if float(np.dot(w_star, x)) >= 0.0 else -1
-
-
 def _memberships(model: NoiseModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in_s = np.sqrt(np.sum(X * X, axis=1)) >= model.Z
     in_c = (X @ model.w_star) * (X @ model.w_perp) <= 0.0
     return in_c, in_s
 
 
-def region_membership(model: NoiseModel, x) -> tuple[bool, bool]:
-    """(in_C, in_S) for a single 2D point under a far_flip model."""
-    if model.kind != "far_flip":
-        raise ValueError("region membership is defined for far_flip models only")
-    if model.dim != 2:
-        raise ValueError("region_membership is the 2D diagnostic; model must be 2D")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2,):
-        raise ValueError("expected a single point in R^2")
-    in_c, in_s = _memberships(model, x[None, :])
-    return bool(in_c[0]), bool(in_s[0])
-
-
-def apply_noise(model: NoiseModel, x, clean_y: int, rng: np.random.Generator | None = None) -> int:
-    """Observed label for one example; clean_y must be label_clean(w*, x)."""
-    x = np.asarray(x, dtype=float)
-    if model.kind == "clean":
-        return int(clean_y)
-    if model.kind == "far_flip":
-        in_c, in_s = _memberships(model, x[None, :])
-        return int(-clean_y) if (in_s[0] and not in_c[0]) else int(clean_y)
-    if rng is None:
-        raise ValueError("random_flip noise needs an explicit rng")
-    return int(-clean_y) if rng.random() < model.eta else int(clean_y)
-
-
 def corrupt_labels(
     model: NoiseModel, X: np.ndarray, clean_y: np.ndarray, rng: np.random.Generator | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized apply_noise over rows; returns (observed labels, flip mask)."""
+    """Observed labels for the rows of X given their clean labels; returns
+    (observed labels, flip mask). random_flip draws its flips from rng."""
     if model.kind == "clean":
         flip = np.zeros(X.shape[0], dtype=bool)
     elif model.kind == "far_flip":
@@ -165,13 +123,6 @@ def corrupt_labels(
             raise ValueError("random_flip noise needs an explicit rng")
         flip = rng.random(X.shape[0]) < model.eta
     return np.where(flip, -clean_y, clean_y), flip
-
-
-class LabeledExample(NamedTuple):
-    """One point with its observed +/-1 label."""
-
-    x: np.ndarray
-    y: float
 
 
 @dataclass
@@ -193,9 +144,6 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __getitem__(self, i: int) -> LabeledExample:
-        return LabeledExample(self.x[i], float(self.y[i]))
-
     @property
     def noise_rate(self) -> float:
         return float(np.mean(self.flipped))
@@ -212,26 +160,3 @@ def make_dataset(spec, model: NoiseModel, n: int, seed: int) -> LabeledDataset:
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xFEED)))
     y, flip = corrupt_labels(model, X, clean, rng)
     return LabeledDataset(X, y, flip)
-
-
-def save_dataset_csv(dataset: LabeledDataset, path) -> None:
-    """Columns x_1..x_d, y, flipped (0/1)."""
-    d = dataset.x.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x_{i + 1}" for i in range(d)] + ["y", "flipped"])
-        for row, label, flip in zip(dataset.x, dataset.y, dataset.flipped):
-            writer.writerow([repr(float(v)) for v in row] + [int(label), int(flip)])
-
-
-def load_dataset_csv(path) -> LabeledDataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        d = len(header) - 2
-        xs, ys, flips = [], [], []
-        for row in reader:
-            xs.append([float(v) for v in row[:d]])
-            ys.append(float(row[d]))
-            flips.append(bool(int(row[d + 1])))
-    return LabeledDataset(np.asarray(xs), np.asarray(ys), np.asarray(flips))

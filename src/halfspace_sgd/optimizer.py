@@ -1,33 +1,27 @@
 """Projected stochastic gradient descent on the unit sphere.
 
-One run starts at e_1, consumes one fresh example per step (single pass, no
+Each run starts at e_1, consumes one fresh example per step (single pass, no
 epochs), takes a plain gradient step on the sigmoid surrogate and projects
-back to the sphere, and returns the full iterate list. A lockstep variant
-advances many independent runs in parallel; row i of a lockstep batch is
-bit-identical to the corresponding solo run because every operation is
+back to the sphere. psgd_lockstep advances many independent runs at once and
+keeps a strided subset of their iterates; row i of a batch is bit-identical
+to the same run advanced alone (a batch of one) because every operation is
 row-local.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import angle_between, unit_vector
+from .geometry import unit_vector
 from .losses import surrogate_grad_rows
 
 __all__ = [
     "PsgdConfig",
-    "IterateList",
-    "psgd_run",
+    "NoisyExampleStream",
     "psgd_lockstep",
-    "iteration_budget",
-    "min_grad_iterate",
     "batch_grad_norms",
-    "dump_trajectory",
 ]
 
 _CHUNK = 2048  # stream draw granularity; invisible to results
@@ -46,8 +40,6 @@ class PsgdConfig:
     sigma: float
     beta: float | None = None
     rho: float = 0.25
-    seed: int = 0
-    dim: int = 2
 
     def __post_init__(self):
         if self.T < 1:
@@ -65,44 +57,11 @@ class PsgdConfig:
 
 
 @dataclass
-class IterateList:
-    """The T unit vectors w^(1..T) produced by one run."""
-
-    vectors: np.ndarray  # (T, d), every row unit norm
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-
-def iteration_budget(d: int, sigma: float, rho: float, delta: float, c_T: float = 1.0) -> int:
-    """ceil(c_T * d * ln(1/delta) / (sigma^4 rho^4)).
-
-    The analysis budget; astronomically large at practical parameters, so
-    experiments cap T and report whether the target rho was reached.
-    """
-    if d < 1 or sigma <= 0 or rho <= 0 or not 0 < delta < 1 or c_T <= 0:
-        raise ValueError("all arguments must be positive, with 0 < delta < 1")
-    return int(math.ceil(c_T * d * math.log(1.0 / delta) / (sigma**4 * rho**4)))
-
-
-def psgd_run(stream, config: PsgdConfig) -> IterateList:
-    """Run PSGD from w^(0) = e_1 for config.T steps.
-
-    `stream` must provide take(k) -> (X, y) with at least T examples in
-    total; exhaustion raises RuntimeError. Deterministic given the stream's
-    seed and the config.
-    """
-    out = psgd_lockstep([stream], config, keep_every=1)
-    return IterateList(out.kept[0])
-
-
-@dataclass
 class LockstepResult:
     """Strided iterates of k lockstep runs, plus which steps were kept."""
 
     kept: np.ndarray        # (k, m, d)
-    kept_steps: np.ndarray  # (m,) 1-based step indices
-    final: np.ndarray       # (k, d) = iterate at step T
+    kept_steps: np.ndarray  # (m,) 1-based step indices, the last is T
 
 
 def psgd_lockstep(streams, config, keep_every: int = 1) -> LockstepResult:
@@ -111,7 +70,10 @@ def psgd_lockstep(streams, config, keep_every: int = 1) -> LockstepResult:
     `config` is one PsgdConfig shared by all runs, or a sequence of configs
     (one per stream, equal T) whose sigma/beta may differ per row. Keeps
     every `keep_every`-th iterate (and always the last). Row-local arithmetic
-    only, so each row reproduces its solo psgd_run bitwise.
+    only, so each row reproduces its solo run bitwise.
+
+    Each stream must provide take(k) -> (X, y); a stream that returns fewer
+    rows than asked raises RuntimeError.
     """
     k = len(streams)
     if isinstance(config, PsgdConfig):
@@ -157,7 +119,7 @@ def psgd_lockstep(streams, config, keep_every: int = 1) -> LockstepResult:
             idx = keep_set.get(step)
             if idx is not None:
                 kept[:, idx, :] = W
-    return LockstepResult(kept=kept, kept_steps=kept_steps, final=W.copy())
+    return LockstepResult(kept=kept, kept_steps=kept_steps)
 
 
 def batch_grad_norms(iterates: np.ndarray, dataset, sigma: float, batch: int) -> np.ndarray:
@@ -175,27 +137,6 @@ def batch_grad_norms(iterates: np.ndarray, dataset, sigma: float, batch: int) ->
     return norms
 
 
-def min_grad_iterate(iterates: IterateList, dataset, sigma: float, batch: int) -> np.ndarray:
-    """Iterate minimizing the batch-estimated gradient norm (diagnostic only;
-    final selection elsewhere uses holdout zero-one error)."""
-    if len(iterates) == 0:
-        raise ValueError("empty iterate list")
-    norms = batch_grad_norms(iterates.vectors, dataset, sigma, batch)
-    return iterates.vectors[int(np.argmin(norms))].copy()
-
-
-def dump_trajectory(iterates: IterateList, dataset, sigma: float, w_star, every: int, path) -> None:
-    """CSV of (step, gradient-norm estimate, angle to w*) every `every` steps."""
-    idx = np.arange(every - 1, len(iterates), every)
-    vecs = iterates.vectors[idx]
-    norms = batch_grad_norms(vecs, dataset, sigma, batch=min(len(dataset), 10_000))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "grad_norm_estimate", "angle_to_wstar"])
-        for step, w, g in zip(idx + 1, vecs, norms):
-            writer.writerow([int(step), repr(float(g)), repr(angle_between(w, np.asarray(w_star)))])
-
-
 class NoisyExampleStream:
     """Seeded stream of labeled examples: marginal samples + noise model."""
 
@@ -204,9 +145,7 @@ class NoisyExampleStream:
 
         if spec.dim != model.dim:
             raise ValueError(f"dimension mismatch: spec d={spec.dim}, noise d={model.dim}")
-        self.spec = spec
         self.model = model
-        self.seed = int(seed)
         self._points = SampleStream(spec, seed)
         self._noise_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xFEED)))
 
@@ -218,17 +157,3 @@ class NoisyExampleStream:
         clean = halfspace_labels(self.model.w_star, X)
         y, _ = corrupt_labels(self.model, X, clean, self._noise_rng)
         return X, y
-
-
-class ArrayStream:
-    """Finite stream over a fixed (X, y) pair; exhausts, unlike seeded streams."""
-
-    def __init__(self, X, y):
-        self.X = np.asarray(X, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self._pos = 0
-
-    def take(self, k: int):
-        lo, hi = self._pos, min(self._pos + k, self.X.shape[0])
-        self._pos = hi
-        return self.X[lo:hi], self.y[lo:hi]

@@ -19,13 +19,14 @@ floors every one of them at double-precision roundoff.
 
 Truncation: integrals stop at r_max chosen from the closed-form tails so the
 neglected mass contributes less than tol/10 (heavy-tailed families need
-r_max growing like (1/tol)^(1/(s-1))).
+r_max growing like (1/tol)^(1/(s-1))). For the logistic and hinge losses the
+bound does not depend on w, so scan_cone finds r_max once per scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,8 +40,6 @@ __all__ = [
     "QuadratureSpec",
     "ConeScanReport",
     "convex_population_grad",
-    "convex_population_grad_detailed",
-    "transverse_axis",
     "admissible_theta",
     "predicted_floor",
     "scan_cone",
@@ -243,9 +242,15 @@ def _e2_piece_tensor(loss, spec, rho, y, p1, p2, ra, rb, quad) -> tuple[float, f
     )
 
 
-def _grad_in_frame(loss, spec, model, w, quad) -> tuple[np.ndarray, float, dict]:
-    """Gradient of C at w with the label rule of `model`, plus error estimate
-    and the region-split pieces (all in the original coordinates)."""
+def convex_population_grad(loss: ConvexSurrogate, w, spec, model: NoiseModel,
+                           quad: QuadratureSpec = QuadratureSpec()) -> tuple[np.ndarray, float, dict]:
+    """grad C(w) = E[-y x l'(-y <x, w>)] under the model's label rule.
+
+    Returns (grad, error estimate, {'S': grad over S, 'Sc': grad over S^c}),
+    all in the original coordinates. Raises QuadratureError if panel doubling
+    fails to converge or quad.tol is below the roundoff floor of an integral;
+    never returns a silent estimate.
+    """
     w = np.asarray(w, dtype=float)
     rho = float(np.linalg.norm(w))
     if w.shape != (2,) or rho == 0.0:
@@ -298,33 +303,6 @@ def _grad_in_frame(loss, spec, model, w, quad) -> tuple[np.ndarray, float, dict]
     return grad, err, split
 
 
-def convex_population_grad(loss: ConvexSurrogate, w, spec, model: NoiseModel,
-                           quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """grad C(w) = E[-y x l'(-y <x, w>)] under the model's label rule.
-
-    Raises QuadratureError if panel doubling fails to converge or quad.tol is
-    below the roundoff floor of an integral; never returns a silent estimate.
-    """
-    grad, _, _ = _grad_in_frame(loss, spec, model, w, quad)
-    return grad
-
-
-def convex_population_grad_detailed(loss, w, spec, model, quad=QuadratureSpec()):
-    """(grad, error estimate, {'S': grad over S, 'Sc': grad over S^c})."""
-    return _grad_in_frame(loss, spec, model, w, quad)
-
-
-def transverse_axis(w, model: NoiseModel) -> np.ndarray:
-    """Unit vector orthogonal to w with a non-negative inner product with
-    w_tilde; the frame in which the proof's sign structure (I_Sc >= 0,
-    I_S <= 0 between w* and w_tilde) holds."""
-    w = np.asarray(w, dtype=float)
-    t = rotate2d(w / np.linalg.norm(w), math.pi / 2.0)
-    if float(t @ model.w_tilde) < 0.0:
-        t = -t
-    return t
-
-
 def admissible_theta(spec, Z: float) -> float:
     """Largest certified cone half-angle at flip radius Z.
 
@@ -358,11 +336,14 @@ def scan_cone(loss: ConvexSurrogate, spec, Z: float, theta: float, grid_points: 
     w_star = np.array([0.0, 1.0])
     model = far_flip(w_star, Z=Z, theta2=2.0 * theta)
     angles = np.linspace(-theta, theta, grid_points) if grid_points > 1 else np.array([0.0])
+    if quad.r_max is None and _loss_linf_slope(loss) is not None:
+        # the logistic/hinge truncation radius does not depend on w
+        quad = replace(quad, r_max=_auto_r_max(loss, spec, 1.0, quad.tol))
     best = (math.inf, None, 0.0)
     max_err = 0.0
     for ang in angles:
         w = rotate2d(w_star, float(ang))
-        grad, err, _ = _grad_in_frame(loss, spec, model, w, quad)
+        grad, err, _ = convex_population_grad(loss, w, spec, model, quad)
         norm = float(np.linalg.norm(grad))
         max_err = max(max_err, err)
         if norm < best[0]:

@@ -14,12 +14,12 @@ from halfspace_sgd import distributions as dist
 from halfspace_sgd.cli import main as cli_main
 from halfspace_sgd.geometry import angle_between, halfspace_labels, unit_vector
 from halfspace_sgd.learner import LearnerConfig, learn_batch
-from halfspace_sgd.losses import convex_surrogate, surrogate_grad_sample, surrogate_loss_sample
+from halfspace_sgd.losses import convex_surrogate
 from halfspace_sgd.noise import far_flip, make_dataset
-from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, psgd_run
+from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, psgd_lockstep
 from halfspace_sgd.oracle import admissible_theta, predicted_floor, scan_cone
 from halfspace_sgd.baselines import full_batch_minimize
-from helpers import ks_uniform, least_squares_line, quad_tail_mass
+from helpers import ks_uniform, least_squares_line, quad_tail_mass, surrogate_grad_sample, surrogate_loss_sample
 
 FAMILIES_2D = {
     "gaussian": dist.gaussian(2),
@@ -74,14 +74,14 @@ def test_c2_sphere_invariant():
     # at 100 sampled steps
     spec = dist.gaussian(5)
     model = far_flip(unit_vector(5, 1), Z=dist.z_for_tail_mass(spec, 0.02), theta2=math.pi / 8)
-    out = psgd_run(NoisyExampleStream(spec, model, seed=2002), PsgdConfig(T=10_000, sigma=0.1))
-    norms = np.linalg.norm(out.vectors, axis=1)
+    iterates = psgd_lockstep([NoisyExampleStream(spec, model, seed=2002)], PsgdConfig(T=10_000, sigma=0.1)).kept[0]
+    norms = np.linalg.norm(iterates, axis=1)
     max_norm_err = float(np.max(np.abs(norms - 1.0)))
     assert max_norm_err <= 1e-12
 
     rng = np.random.default_rng(2003)
     worst_dot = 0.0
-    for w in out.vectors[:: len(out.vectors) // 100][:100]:
+    for w in iterates[:: len(iterates) // 100][:100]:
         x = rng.standard_normal(5)
         y = 1 if rng.random() < 0.5 else -1
         g = surrogate_grad_sample(w, x, y, 0.1)

@@ -1,6 +1,8 @@
 import csv
 from pathlib import Path
 
+import pytest
+
 from halfspace_sgd.cli import main, parse_config
 
 
@@ -87,6 +89,28 @@ def test_malformed_line_exits_2(tmp_path):
     assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
 
+@pytest.mark.parametrize("command, text, flags, needle", [
+    ("lowerbound", TINY_LOWERBOUND, ["--workers", "-3"], "--workers"),
+    ("learn", TINY_LEARN.replace("family = gaussian", "family = logconcave").replace("d = 3", "d = 10"),
+     [], "d = 2"),
+    ("lowerbound", TINY_LOWERBOUND.replace("families = gaussian", "families = foo"), [], "foo"),
+    ("lowerbound", TINY_LOWERBOUND.replace("losses = logistic", "losses = nope"), [], "nope"),
+    ("compare", TINY_COMPARE.replace("family = gaussian", "family = heavy_tailed\ns = 2.0"), [], "s > 2"),
+], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2"])
+def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flags, needle):
+    out = tmp_path / "o.csv"
+    cfg = _write(tmp_path / "c.txt", text)
+    assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["family = heavy_tailed", "d = 7", "seeds = 4", "seed_base = 3"])
+def test_lowerbound_rejects_trial_keys(tmp_path, line):
+    cfg = _write(tmp_path / "c.txt", TINY_LOWERBOUND + line + "\n")
+    assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+
+
 def test_compare_requires_2d(tmp_path):
     cfg = _write(tmp_path / "c.txt", "d = 5\n")
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
@@ -122,13 +146,6 @@ def test_learn_timing_flag_changes_only_wall_ms(tmp_path):
     for a, b in zip(r1[1:], r2[1:]):
         assert a[:-1] == b[:-1]
         assert float(b[-1]) > 0.0
-
-
-def test_seed_offset_shifts_seeds(tmp_path):
-    cfg = _write(tmp_path / "c.txt", TINY_LEARN)
-    out = tmp_path / "o.csv"
-    assert main(["learn", "--config", cfg, "--out", str(out), "--seed-offset", "7"]) == 0
-    assert [r[0] for r in _rows(out)[1:]] == ["57", "58"]
 
 
 def test_sweep_emits_per_sigma_rows(tmp_path):

@@ -48,10 +48,10 @@ def test_solve_isotropic_params_rejects_s_at_most_2():
 
 
 def test_density_values_at_origin():
-    assert dist.density2d(dist.gaussian(2), np.zeros(2)) == pytest.approx(1.0 / (2 * math.pi), abs=1e-12)
-    assert dist.density2d(dist.log_concave(), np.zeros(2)) == pytest.approx(6.0 / math.pi, abs=1e-12)
-    assert abs(dist.density2d(dist.gaussian(2), np.zeros(2)) - 0.159154943) < 1e-9
-    assert abs(dist.density2d(dist.log_concave(), np.zeros(2)) - 1.909859317) < 1e-9
+    assert dist.radial_density(dist.gaussian(2), 0.0) == pytest.approx(1.0 / (2 * math.pi), abs=1e-12)
+    assert dist.radial_density(dist.log_concave(), 0.0) == pytest.approx(6.0 / math.pi, abs=1e-12)
+    assert abs(dist.radial_density(dist.gaussian(2), 0.0) - 0.159154943) < 1e-9
+    assert abs(dist.radial_density(dist.log_concave(), 0.0) - 1.909859317) < 1e-9
 
 
 def test_each_density_integrates_to_one():
@@ -61,7 +61,7 @@ def test_each_density_integrates_to_one():
 
 def test_density2d_requires_2d_points():
     with pytest.raises(ValueError):
-        dist.density2d(dist.gaussian(2), np.zeros(3))
+        dist.radial_density(dist.gaussian(3), 0.0)
     with pytest.raises(ValueError):
         dist.DistributionSpec("logconcave", 3)
 
@@ -181,6 +181,8 @@ def test_sample_stream_matches_one_shot_draw_sizes():
     chunk = stream.take(100)
     assert chunk.shape == (100, 2)
     assert np.all(np.isfinite(chunk))
+    for spec in ALL_2D() + (dist.gaussian(5),):
+        np.testing.assert_array_equal(dist.SampleStream(spec, seed=9).take(300), dist.sample(spec, 300, seed=9))
 
 
 def test_gaussian_sample_coordinate_variance():

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from halfspace_sgd.geometry import (
-    angle_between,
-    halfspace_label,
-    halfspace_labels,
-    project_to_sphere,
-    rotate2d,
-    unit_vector,
-)
+from halfspace_sgd.geometry import angle_between, halfspace_labels, project_to_sphere, rotate2d, unit_vector
+from helpers import halfspace_label
 
 
 def test_project_exact_normalization():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,37 +7,24 @@ import pytest
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import unit_vector
 from halfspace_sgd.learner import (
-    CandidateList,
     LearnerConfig,
+    _select,
     c_const_for,
     default_holdout_size,
     derive_seed,
     estimate_err01,
     learn,
     learn_batch,
-    run_for_sigma,
-    select_best,
-    select_best_detailed,
-    sigma_grid,
     zero_one_errors,
 )
 from halfspace_sgd.noise import clean_labels, far_flip, make_dataset
-from halfspace_sgd.optimizer import NoisyExampleStream
+from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, psgd_lockstep
 
 
-def test_sigma_grid_worked_example():
-    assert sigma_grid(0.25, 1.0) == [0.25, 0.5, 0.75, 1.0]
-
-
-def test_sigma_grid_scaling_and_endpoint():
-    g1 = sigma_grid(0.01, 1.0)
-    g2 = sigma_grid(0.005, 1.0)
-    assert g1[-1] == 1.0 and g2[-1] == 1.0
-    assert 1.8 <= len(g2) / len(g1) <= 2.2
-    assert sigma_grid(2.0, 1.0) == [1.0]
-    assert sigma_grid(1.0, 1.0) == [1.0]
-    with pytest.raises(ValueError):
-        sigma_grid(0.0, 1.0)
+def _select_w(lists, holdout):
+    """The vector _select picks from candidate lists scored on holdout."""
+    li, ii = _select([zero_one_errors(v, holdout) for v in lists])
+    return lists[li][ii]
 
 
 def test_c_const_report_value():
@@ -83,21 +71,20 @@ def test_select_best_single_and_planted():
     w_star = unit_vector(4, 1)
     model = far_flip(w_star, Z=dist.z_for_tail_mass(spec, 0.05), theta2=0.3)
     holdout = make_dataset(spec, model, 50_000, seed=8)
-    single = CandidateList(0.1, w_star[None, :])
-    np.testing.assert_array_equal(select_best([single], holdout), w_star)
+    np.testing.assert_array_equal(_select_w([w_star[None, :]], holdout), w_star)
 
     rng = np.random.default_rng(9)
     noise_vecs = rng.standard_normal((6, 4))
     noise_vecs /= np.linalg.norm(noise_vecs, axis=1)[:, None]
-    planted = CandidateList(0.2, np.vstack([noise_vecs[:3], w_star]))
-    others = CandidateList(0.4, noise_vecs[3:])
+    planted = np.vstack([noise_vecs[:3], w_star])
+    others = noise_vecs[3:]
     errs_all = zero_one_errors(np.vstack([noise_vecs, w_star]), holdout)
     gap = np.sort(errs_all)[1] - np.min(errs_all)
     hoeffding = math.sqrt(math.log(2 / 0.01) / (2 * 50_000))
     if gap > 2 * hoeffding:  # planted optimum separated: must be selected
-        np.testing.assert_array_equal(select_best([planted, others], holdout), w_star)
-    a = select_best([planted, others], holdout)
-    b = select_best([planted, others], holdout)
+        np.testing.assert_array_equal(_select_w([planted, others], holdout), w_star)
+    a = _select_w([planted, others], holdout)
+    b = _select_w([planted, others], holdout)
     np.testing.assert_array_equal(a, b)
 
 
@@ -105,32 +92,31 @@ def test_select_best_tie_breaks_by_grid_then_iterate_order():
     spec = dist.gaussian(2)
     w_star = unit_vector(2, 1)
     holdout = make_dataset(spec, clean_labels(w_star), 1000, seed=10)
-    dup = w_star[None, :]
-    first = CandidateList(0.3, np.vstack([w_star, w_star]))
-    second = CandidateList(0.1, dup)
-    sel = select_best_detailed([first, second], holdout)
-    assert sel.list_index == 0 and sel.iterate_index == 0 and sel.sigma == 0.3
+    first = np.vstack([-w_star, w_star, w_star])
+    second = w_star[None, :]
+    errs = [zero_one_errors(first, holdout), zero_one_errors(second, holdout)]
+    assert errs[0][1] == errs[0][2] == errs[1][0]
+    assert _select(errs) == (0, 1)
+    assert _select(errs[::-1]) == (0, 0)
     with pytest.raises(ValueError):
-        select_best([], holdout)
+        _select([])
 
 
 def test_run_for_sigma_full_list_length():
     spec = dist.gaussian(3)
     model = clean_labels(unit_vector(3, 1))
-    cfg = LearnerConfig(grid=(0.2,), t_cap=500, eval_size=1000, holdout_size=1000)
-    cl = run_for_sigma(0.2, NoisyExampleStream(spec, model, seed=12), cfg)
-    assert cl.vectors.shape == (500, 3)
-    assert cl.sigma == 0.2
+    out = psgd_lockstep([NoisyExampleStream(spec, model, seed=12)], PsgdConfig(T=500, sigma=0.2))
+    assert out.kept.shape == (1, 500, 3)
+    assert out.kept_steps.tolist() == list(range(1, 501))
 
 
 def test_run_for_sigma_reaches_low_error_on_clean_data():
     spec = dist.gaussian(5)
     w_star = unit_vector(5, 1)
     model = clean_labels(w_star)
-    cfg = LearnerConfig(grid=(0.1,), t_cap=30_000, holdout_size=20_000, eval_size=1000)
-    cl = run_for_sigma(0.1, NoisyExampleStream(spec, model, seed=13), cfg)
+    out = psgd_lockstep([NoisyExampleStream(spec, model, seed=13)], PsgdConfig(T=30_000, sigma=0.1))
     holdout = make_dataset(spec, model, 20_000, seed=14)
-    errs = zero_one_errors(cl.vectors[::50], holdout)
+    errs = zero_one_errors(out.kept[0][::50], holdout)
     assert float(np.min(errs)) <= 0.02
 
 
@@ -163,6 +149,18 @@ def test_learn_batch_matches_solo_learn():
         for ds_b, ds_s in zip(rb.per_sigma, solo.per_sigma):
             assert ds_b.best_holdout_err == ds_s.best_holdout_err
             assert ds_b.min_grad_norm == ds_s.min_grad_norm
+
+
+def test_wall_ms_is_per_trial():
+    spec = dist.gaussian(3)
+    model = clean_labels(unit_vector(3, 1))
+    cfg = LearnerConfig(grid=(0.2, 0.1), t_cap=2000, holdout_size=10_000, eval_size=10_000,
+                        candidate_stride=100)
+    t0 = time.perf_counter()
+    reports = learn_batch(spec, model, cfg, [1, 2, 3])
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    assert all(r.wall_ms > 0.0 for r in reports)
+    assert sum(r.wall_ms for r in reports) <= elapsed_ms
 
 
 def test_learn_clean_reaches_low_error():

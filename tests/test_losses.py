@@ -6,15 +6,23 @@ import pytest
 from halfspace_sgd.geometry import project_to_sphere
 from halfspace_sgd.losses import (
     convex_grad_mean,
-    convex_grad_sample,
-    convex_loss_sample,
+    convex_loss_mean,
     convex_surrogate,
     sigmoid,
     sigmoid_slope,
     surrogate_grad_rows,
-    surrogate_grad_sample,
-    surrogate_loss_sample,
 )
+from helpers import surrogate_grad_sample, surrogate_loss_sample
+
+
+def convex_loss_sample(w, x, y, surrogate):
+    """l(-y <x, w>) for one example, through the dataset mean of one row."""
+    return convex_loss_mean(w, np.asarray(x, dtype=float)[None, :], [float(y)], surrogate)
+
+
+def convex_grad_sample(w, x, y, surrogate):
+    """-y x l'(-y <x, w>) for one example, through the dataset mean of one row."""
+    return convex_grad_mean(w, np.asarray(x, dtype=float)[None, :], [float(y)], surrogate)
 
 
 def test_sigmoid_reference_values():
@@ -274,5 +282,5 @@ def test_convex_grad_mean_matches_loop():
     w = rng.standard_normal(3)
     X = rng.standard_normal((100, 3))
     y = np.where(rng.random(100) < 0.5, 1.0, -1.0)
-    loop = np.mean([convex_grad_sample(w, x, yy, logistic) for x, yy in zip(X, y)], axis=0)
+    loop = np.mean([-yy * logistic.slope(-yy * float(x @ w)) * x for x, yy in zip(X, y)], axis=0)
     np.testing.assert_allclose(convex_grad_mean(w, X, y, logistic), loop, atol=1e-14)

@@ -7,30 +7,30 @@ from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import angle_between, halfspace_labels, rotate2d, unit_vector
 from halfspace_sgd.learner import estimate_err01
 from halfspace_sgd.noise import (
-    apply_noise,
+    _memberships,
     clean_labels,
     corrupt_labels,
     far_flip,
-    label_clean,
-    load_dataset_csv,
     make_dataset,
     random_flip,
-    region_membership,
-    save_dataset_csv,
 )
+from helpers import apply_noise, halfspace_label
 
 E2 = unit_vector(2, 1)
 
 
+def region_membership(model, x):
+    """(in_C, in_S) for a single point, from the row-wise rule."""
+    in_c, in_s = _memberships(model, np.asarray(x, dtype=float)[None, :])
+    return bool(in_c[0]), bool(in_s[0])
+
+
 def test_label_clean_reference_cases():
-    assert label_clean(E2, np.array([5.0, 1.0])) == 1
-    assert label_clean(E2, np.array([5.0, -1.0])) == -1
+    np.testing.assert_array_equal(halfspace_labels(E2, np.array([[5.0, 1.0], [5.0, -1.0]])), [1.0, -1.0])
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        x = rng.standard_normal(2)
-        if abs(x[1]) < 1e-12:
-            continue
-        assert label_clean(E2, x) == -label_clean(-E2, x)
+    X = rng.standard_normal((100, 2))
+    X = X[np.abs(X[:, 1]) >= 1e-12]
+    np.testing.assert_array_equal(halfspace_labels(E2, X), -halfspace_labels(-E2, X))
 
 
 def test_far_flip_parameter_validation():
@@ -90,14 +90,6 @@ def test_region_membership_against_angular_sector_oracle():
         np.testing.assert_array_equal(got, expected)
 
 
-def test_region_membership_requires_2d_far_flip():
-    model = far_flip(unit_vector(3, 1), Z=2.0, theta2=0.2)
-    with pytest.raises(ValueError):
-        region_membership(model, np.zeros(3))
-    with pytest.raises(ValueError):
-        region_membership(clean_labels(E2), np.zeros(2))
-
-
 def test_apply_noise_rules():
     Z = 2.0
     model = far_flip(E2, Z=Z, theta2=math.pi / 8)
@@ -105,7 +97,7 @@ def test_apply_noise_rules():
     rng = np.random.default_rng(2)
     for _ in range(200):
         x = rng.standard_normal(2) * 2.0
-        y = label_clean(E2, x)
+        y = halfspace_label(E2, x)
         assert apply_noise(clean, x, y) == y
         got = apply_noise(model, x, y)
         if np.linalg.norm(x) < Z:
@@ -113,15 +105,20 @@ def test_apply_noise_rules():
         else:
             in_c, _ = region_membership(model, x)
             assert got == (y if in_c else -y)
+    X = rng.standard_normal((200, 2)) * 2.0
+    clean_y = halfspace_labels(E2, X)
+    rows, _ = corrupt_labels(model, X, clean_y)
+    assert rows.tolist() == [apply_noise(model, x, y) for x, y in zip(X, clean_y)]
 
 
 def test_apply_noise_random_flip_needs_rng():
     model = random_flip(E2, 0.2)
+    X = np.ones((20_000, 2))
     with pytest.raises(ValueError):
-        apply_noise(model, np.ones(2), 1)
-    rng = np.random.default_rng(3)
-    flips = sum(apply_noise(model, np.ones(2), 1, rng) == -1 for _ in range(20_000))
-    assert abs(flips / 20_000 - 0.2) < 0.012
+        corrupt_labels(model, X, np.ones(20_000))
+    y, flip = corrupt_labels(model, X, np.ones(20_000), np.random.default_rng(3))
+    np.testing.assert_array_equal(y, np.where(flip, -1.0, 1.0))
+    assert abs(float(np.mean(flip)) - 0.2) < 0.012
 
 
 def test_far_flip_supports_higher_dimensions():
@@ -199,8 +196,8 @@ def test_make_dataset_dimension_mismatch():
         make_dataset(dist.gaussian(3), clean_labels(E2), 10, seed=1)
 
 
-def test_labeled_dataset_validation_and_indexing():
-    from halfspace_sgd.noise import LabeledDataset, LabeledExample
+def test_labeled_dataset_validation():
+    from halfspace_sgd.noise import LabeledDataset
 
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((3, 2)), np.array([1.0, 0.5, -1.0]), np.zeros(3, dtype=bool))
@@ -208,22 +205,4 @@ def test_labeled_dataset_validation_and_indexing():
         LabeledDataset(np.array([[np.inf, 0.0]]), np.array([1.0]), np.zeros(1, dtype=bool))
     with pytest.raises(ValueError):
         LabeledDataset(np.zeros((3, 2)), np.ones(2), np.zeros(3, dtype=bool))
-    ds = make_dataset(dist.gaussian(2), clean_labels(E2), 5, seed=1)
-    ex = ds[2]
-    assert isinstance(ex, LabeledExample)
-    np.testing.assert_array_equal(ex.x, ds.x[2])
-    assert ex.y == ds.y[2]
-
-
-def test_dataset_csv_roundtrip(tmp_path):
-    spec = dist.gaussian(2)
-    model = far_flip(E2, Z=1.0, theta2=0.2)
-    ds = make_dataset(spec, model, 500, seed=3)
-    path = tmp_path / "ds.csv"
-    save_dataset_csv(ds, path)
-    back = load_dataset_csv(path)
-    np.testing.assert_array_equal(ds.x, back.x)
-    np.testing.assert_array_equal(ds.y, back.y)
-    np.testing.assert_array_equal(ds.flipped, back.flipped)
-    header = path.read_text().splitlines()[0]
-    assert header == "x_1,x_2,y,flipped"
+    assert len(make_dataset(dist.gaussian(2), clean_labels(E2), 5, seed=1)) == 5

@@ -7,18 +7,13 @@ from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import angle_between, unit_vector
 from halfspace_sgd.learner import zero_one_errors
 from halfspace_sgd.noise import clean_labels, far_flip, make_dataset
-from halfspace_sgd.optimizer import (
-    ArrayStream,
-    IterateList,
-    NoisyExampleStream,
-    PsgdConfig,
-    batch_grad_norms,
-    dump_trajectory,
-    iteration_budget,
-    min_grad_iterate,
-    psgd_lockstep,
-    psgd_run,
-)
+from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, batch_grad_norms, psgd_lockstep
+from helpers import ArrayStream
+
+
+def _solo(stream, config):
+    """Every iterate of one run advanced alone."""
+    return psgd_lockstep([stream], config, keep_every=1).kept[0]
 
 
 def test_config_validation():
@@ -32,76 +27,60 @@ def test_config_validation():
     assert PsgdConfig(T=10, sigma=0.2, beta=0.003).step_size == 0.003
 
 
-def test_iteration_budget_scalings():
-    base = iteration_budget(10, 0.2, 0.1, 0.5)
-    assert iteration_budget(10, 0.1, 0.1, 0.5) == pytest.approx(16 * base, rel=1e-6)
-    assert iteration_budget(10, 0.2, 0.05, 0.5) == pytest.approx(16 * base, rel=1e-6)
-    assert iteration_budget(20, 0.2, 0.1, 0.5) == pytest.approx(2 * base, rel=1e-6)
-    # delta = 1/e contributes exactly ln(1/delta) = 1
-    assert iteration_budget(3, 1.0, 1.0, 1.0 / math.e) == 3
-    # the worked arithmetic case
-    assert iteration_budget(10, 0.1, 0.05, 0.01) == pytest.approx(7.37e10, rel=1e-3)
-    with pytest.raises(ValueError):
-        iteration_budget(10, 0.1, 0.1, 1.5)
-
-
 def test_zero_gradient_stream_keeps_e1():
     # x parallel to the current iterate gives a zero update; w stays at e_1
     T = 50
     X = np.tile(np.array([2.0, 0.0, 0.0]), (T, 1))
     y = np.ones(T)
-    out = psgd_run(ArrayStream(X, y), PsgdConfig(T=T, sigma=0.3))
+    out = _solo(ArrayStream(X, y), PsgdConfig(T=T, sigma=0.3))
     assert len(out) == T
-    np.testing.assert_array_equal(out.vectors, np.tile(unit_vector(3), (T, 1)))
+    np.testing.assert_array_equal(out, np.tile(unit_vector(3), (T, 1)))
 
 
 def test_beta_zero_keeps_e1():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 4))
     y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-    out = psgd_run(ArrayStream(X, y), PsgdConfig(T=40, sigma=0.3, beta=0.0))
-    np.testing.assert_array_equal(out.vectors, np.tile(unit_vector(4), (40, 1)))
+    out = _solo(ArrayStream(X, y), PsgdConfig(T=40, sigma=0.3, beta=0.0))
+    np.testing.assert_array_equal(out, np.tile(unit_vector(4), (40, 1)))
 
 
 def test_iterates_unit_norm_and_length():
     spec = dist.gaussian(4)
     stream = NoisyExampleStream(spec, clean_labels(unit_vector(4, 1)), seed=3)
-    out = psgd_run(stream, PsgdConfig(T=3000, sigma=0.2))
+    out = _solo(stream, PsgdConfig(T=3000, sigma=0.2))
     assert len(out) == 3000
-    norms = np.linalg.norm(out.vectors, axis=1)
+    norms = np.linalg.norm(out, axis=1)
     assert float(np.max(np.abs(norms - 1.0))) <= 1e-12
 
 
 def test_run_deterministic_per_seed():
     spec = dist.gaussian(3)
     model = clean_labels(unit_vector(3, 1))
-    a = psgd_run(NoisyExampleStream(spec, model, seed=11), PsgdConfig(T=500, sigma=0.2))
-    b = psgd_run(NoisyExampleStream(spec, model, seed=11), PsgdConfig(T=500, sigma=0.2))
-    np.testing.assert_array_equal(a.vectors, b.vectors)
-    c = psgd_run(NoisyExampleStream(spec, model, seed=12), PsgdConfig(T=500, sigma=0.2))
-    assert not np.array_equal(a.vectors, c.vectors)
+    a = _solo(NoisyExampleStream(spec, model, seed=11), PsgdConfig(T=500, sigma=0.2))
+    b = _solo(NoisyExampleStream(spec, model, seed=11), PsgdConfig(T=500, sigma=0.2))
+    np.testing.assert_array_equal(a, b)
+    c = _solo(NoisyExampleStream(spec, model, seed=12), PsgdConfig(T=500, sigma=0.2))
+    assert not np.array_equal(a, c)
 
 
 def test_stream_exhaustion_raises():
     X = np.ones((10, 2))
     y = np.ones(10)
     with pytest.raises(RuntimeError):
-        psgd_run(ArrayStream(X, y), PsgdConfig(T=11, sigma=0.2))
+        _solo(ArrayStream(X, y), PsgdConfig(T=11, sigma=0.2))
 
 
 def test_lockstep_rows_match_solo_runs():
     spec = dist.gaussian(3)
     model = far_flip(unit_vector(3, 1), Z=2.0, theta2=0.2)
-    configs = [
-        PsgdConfig(T=400, sigma=0.1, seed=21),
-        PsgdConfig(T=400, sigma=0.25, seed=22),
-        PsgdConfig(T=400, sigma=0.5, seed=23),
-    ]
-    streams = [NoisyExampleStream(spec, model, c.seed) for c in configs]
+    seeds = (21, 22, 23)
+    configs = [PsgdConfig(T=400, sigma=s) for s in (0.1, 0.25, 0.5)]
+    streams = [NoisyExampleStream(spec, model, seed) for seed in seeds]
     out = psgd_lockstep(streams, configs, keep_every=1)
-    for i, c in enumerate(configs):
-        solo = psgd_run(NoisyExampleStream(spec, model, c.seed), c)
-        np.testing.assert_array_equal(out.kept[i], solo.vectors)
+    for i, (seed, c) in enumerate(zip(seeds, configs)):
+        solo = _solo(NoisyExampleStream(spec, model, seed), c)
+        np.testing.assert_array_equal(out.kept[i], solo)
 
 
 def test_lockstep_strides_and_final():
@@ -109,10 +88,10 @@ def test_lockstep_strides_and_final():
     stream = NoisyExampleStream(spec, clean_labels(unit_vector(2, 1)), seed=1)
     out = psgd_lockstep([stream], PsgdConfig(T=1005, sigma=0.2), keep_every=100)
     assert out.kept_steps.tolist() == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 1005]
-    full = psgd_run(NoisyExampleStream(spec, clean_labels(unit_vector(2, 1)), seed=1),
-                    PsgdConfig(T=1005, sigma=0.2))
-    np.testing.assert_array_equal(out.kept[0], full.vectors[out.kept_steps - 1])
-    np.testing.assert_array_equal(out.final[0], full.vectors[-1])
+    full = _solo(NoisyExampleStream(spec, clean_labels(unit_vector(2, 1)), seed=1),
+                 PsgdConfig(T=1005, sigma=0.2))
+    np.testing.assert_array_equal(out.kept[0], full[out.kept_steps - 1])
+    np.testing.assert_array_equal(out.kept[0][-1], full[-1])
 
 
 def test_lockstep_validates_configs():
@@ -147,27 +126,11 @@ def test_min_grad_iterate_selects_planted_optimum():
     others = rng.standard_normal((5, 3))
     others /= np.linalg.norm(others, axis=1)[:, None]
     vectors = np.vstack([others, w_star])
-    picked = min_grad_iterate(IterateList(vectors), dataset, sigma=0.3, batch=20_000)
-    np.testing.assert_array_equal(picked, w_star)
-    single = min_grad_iterate(IterateList(w_star[None, :]), dataset, sigma=0.3, batch=100)
-    np.testing.assert_array_equal(single, w_star)
-    again = min_grad_iterate(IterateList(vectors), dataset, sigma=0.3, batch=20_000)
-    np.testing.assert_array_equal(picked, again)
+    norms = batch_grad_norms(vectors, dataset, sigma=0.3, batch=20_000)
+    assert int(np.argmin(norms)) == len(vectors) - 1
+    np.testing.assert_array_equal(norms, batch_grad_norms(vectors, dataset, sigma=0.3, batch=20_000))
     with pytest.raises(ValueError):
-        min_grad_iterate(IterateList(np.empty((0, 3))), dataset, sigma=0.3, batch=10)
-
-
-def test_dump_trajectory_csv(tmp_path):
-    spec = dist.gaussian(3)
-    w_star = unit_vector(3, 1)
-    model = clean_labels(w_star)
-    out = psgd_run(NoisyExampleStream(spec, model, seed=4), PsgdConfig(T=300, sigma=0.2))
-    dataset = make_dataset(spec, model, 2000, seed=5)
-    path = tmp_path / "traj.csv"
-    dump_trajectory(out, dataset, 0.2, w_star, every=50, path=path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,grad_norm_estimate,angle_to_wstar"
-    assert [int(l.split(",")[0]) for l in lines[1:]] == [50, 100, 150, 200, 250, 300]
+        batch_grad_norms(vectors, dataset, sigma=0.3, batch=0)
 
 
 def test_stationarity_diagnostic_cone():

@@ -12,13 +12,12 @@ from halfspace_sgd.oracle import (
     _e2_piece_tensor,
     admissible_theta,
     convex_population_grad,
-    convex_population_grad_detailed,
     grad_monte_carlo,
     predicted_floor,
     scan_cone,
-    transverse_axis,
 )
 from halfspace_sgd.quadrature import QuadratureError, integrate_refining
+from helpers import transverse_axis
 
 E2 = unit_vector(2, 1)
 LOGISTIC = convex_surrogate("logistic")
@@ -76,7 +75,7 @@ def test_tensor_rule_error_floored_and_unreachable_tol_raises():
 def test_clean_gradient_transverse_component_vanishes_at_wstar():
     spec = dist.gaussian(2)
     model = far_flip(E2, Z=math.inf, theta2=0.1)
-    g, err, _ = convex_population_grad_detailed(LOGISTIC, E2, spec, model)
+    g, err, _ = convex_population_grad(LOGISTIC, E2, spec, model)
     assert abs(g[0]) <= 1e-9
     assert err <= 1e-8
 
@@ -86,7 +85,7 @@ def test_gradient_matches_monte_carlo_gaussian(loss):
     spec = dist.gaussian(2)
     model, Z, theta = _standard_model(spec)
     w = rotate2d(E2, 0.0007) * 1.4
-    g = convex_population_grad(loss, w, spec, model)
+    g, _, _ = convex_population_grad(loss, w, spec, model)
     g_mc, se = grad_monte_carlo(loss, w, spec, model, 2_000_000, seed=19)
     assert np.all(np.abs(g - g_mc) <= 4.0 * se)
 
@@ -103,7 +102,7 @@ def test_gradient_matches_monte_carlo_all_pairs(kind, family):
     loss = convex_surrogate(kind)
     model, Z, theta = _standard_model(spec)
     w = rotate2d(E2, -0.0005)
-    g = convex_population_grad(loss, w, spec, model)
+    g, _, _ = convex_population_grad(loss, w, spec, model)
     g_mc, se = grad_monte_carlo(loss, w, spec, model, 2_000_000, seed=20)
     assert np.all(np.abs(g - g_mc) <= 4.0 * se)
 
@@ -115,7 +114,7 @@ def test_gradient_matches_bruteforce_tensor_rule():
     spec = dist.gaussian(2)
     model, Z, theta = _standard_model(spec)
     w = rotate2d(E2, 0.3) * 0.9
-    g = convex_population_grad(LOGISTIC, w, spec, model)
+    g, _, _ = convex_population_grad(LOGISTIC, w, spec, model)
 
     a_star = math.atan2(model.w_star[1], model.w_star[0])
     a_tilde = math.atan2(model.w_tilde[1], model.w_tilde[0])
@@ -147,14 +146,14 @@ def test_region_split_adds_up_and_has_proof_sign_structure():
     model, Z, theta = _standard_model(spec)
     for ang in (0.3 * theta, 0.9 * theta):
         w = rotate2d(E2, ang)  # between w* and w_tilde
-        g, err, split = convex_population_grad_detailed(LOGISTIC, w, spec, model)
+        g, err, split = convex_population_grad(LOGISTIC, w, spec, model)
         np.testing.assert_allclose(split["S"] + split["Sc"], g, atol=1e-12)
         t_hat = transverse_axis(w, model)
         assert float(split["Sc"] @ t_hat) >= -1e-9
         assert float(split["S"] @ t_hat) <= 1e-9
     for ang in (-0.3 * theta, -0.9 * theta):
         w = rotate2d(E2, ang)  # outside the (w*, w_tilde) cone
-        _, _, split = convex_population_grad_detailed(LOGISTIC, w, spec, model)
+        _, _, split = convex_population_grad(LOGISTIC, w, spec, model)
         t_hat = transverse_axis(w, model)
         assert float(split["Sc"] @ t_hat) <= 1e-9
         assert float(split["S"] @ t_hat) <= 1e-9
@@ -165,8 +164,8 @@ def test_gradient_stable_under_finer_initial_panels():
     model, Z, theta = _standard_model(spec)
     w = rotate2d(E2, 0.5 * theta)
     tol = 1e-9
-    g1 = convex_population_grad(LOGISTIC, w, spec, model, QuadratureSpec(tol=tol))
-    g2 = convex_population_grad(
+    g1, _, _ = convex_population_grad(LOGISTIC, w, spec, model, QuadratureSpec(tol=tol))
+    g2, _, _ = convex_population_grad(
         LOGISTIC, w, spec, model, QuadratureSpec(radial_panels=8, angular_panels=8, tol=tol)
     )
     assert np.all(np.abs(g1 - g2) <= 10 * tol)
@@ -190,7 +189,7 @@ def test_gradient_converges_with_sub_unit_flip_radius():
     assert Z < 1.0
     model = far_flip(E2, Z=Z, theta2=0.3)
     for loss in (LOGISTIC, HINGE):
-        g = convex_population_grad(loss, rotate2d(E2, 0.05), spec, model)
+        g, _, _ = convex_population_grad(loss, rotate2d(E2, 0.05), spec, model)
         g_mc, se = grad_monte_carlo(loss, rotate2d(E2, 0.05), spec, model, 1_000_000, seed=77)
         assert np.all(np.abs(g - g_mc) <= 4.0 * se)
 
@@ -268,3 +267,19 @@ def test_scan_cone_reports_and_validates():
         scan_cone(HINGE, spec, Z, theta * 1.5, grid_points=3)
     with pytest.raises(ValueError):
         scan_cone(HINGE, spec, Z, theta, grid_points=0)
+
+
+@pytest.mark.parametrize("loss", [LOGISTIC, HINGE, SQH])
+def test_scan_cone_matches_per_point_gradients(loss):
+    # scan_cone finds the truncation radius once per scan; each point must
+    # still match its own gradient, whose radius is found per call
+    spec = dist.gaussian(2)
+    model, Z, theta = _standard_model(spec)
+    rep = scan_cone(loss, spec, Z, theta, grid_points=3)
+    norms, errs = [], []
+    for ang in np.linspace(-theta, theta, 3):
+        g, err, _ = convex_population_grad(loss, rotate2d(E2, float(ang)), spec, model)
+        norms.append(float(np.linalg.norm(g)))
+        errs.append(err)
+    assert rep.min_grad_norm == min(norms)
+    assert rep.max_quad_error == max(errs)
