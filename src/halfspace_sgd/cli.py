@@ -25,6 +25,7 @@ import csv
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .geometry import angle_between, unit_vector
 from .learner import LearnerConfig, derive_seed, learn_batch
 from .losses import CONVEX_KINDS, convex_surrogate
 from .noise import far_flip, make_dataset
-from .oracle import QuadratureSpec, admissible_theta, predicted_floor, scan_cone
+from .oracle import UNSUPPORTED_PAIRS, QuadratureSpec, admissible_theta, predicted_floor, scan_cone
 
 __all__ = ["main"]
 
@@ -136,11 +137,9 @@ def parse_config(path: str, command: str) -> dict:
 
 
 def _make_spec(family: str, d: int, s: float):
-    if family == "gaussian":
-        return dist.gaussian(d)
-    if family == "logconcave":
-        return dist.log_concave()
-    return dist.heavy_tailed(s)
+    if family == "heavy_tailed":
+        return replace(dist.heavy_tailed(s), dim=d)
+    return dist.DistributionSpec(family, d)
 
 
 def _fmt(v) -> str:
@@ -354,15 +353,18 @@ def main(argv=None) -> int:
             raise ConfigError("families and losses must be nonempty")
         families = cfg["families"] if args.command == "lowerbound" else (cfg["family"],)
         for family in families:
-            if family not in dist.FAMILIES:
-                raise ConfigError(f"unknown family {family!r}; expected one of {dist.FAMILIES}")
+            try:
+                _make_spec(family, cfg.get("d", 2), cfg["s"])
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         for kind in cfg.get("losses", ()):
             if kind not in CONVEX_KINDS:
                 raise ConfigError(f"unknown loss {kind!r}; expected one of {CONVEX_KINDS}")
-        if cfg.get("d", 2) != 2 and cfg["family"] != "gaussian":
-            raise ConfigError(f"the {cfg['family']} family is defined only for d = 2")
-        if "heavy_tailed" in families and not cfg["s"] > 2.0:
-            raise ConfigError("heavy_tailed needs s > 2")
+        if args.command == "lowerbound":
+            for kind in cfg["losses"]:
+                for family in families:
+                    if (kind, family) in UNSUPPORTED_PAIRS:
+                        raise ConfigError(f"the {kind} oracle is not implemented for the {family} family")
     except ConfigError as exc:
         print(f"halfspace-bench: config error: {exc}", file=sys.stderr)
         return 2

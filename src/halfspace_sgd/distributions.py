@@ -23,8 +23,11 @@ Closed forms (2D, written with c = 2*sqrt(3), tail(Z) = Pr[||x|| >= Z]):
                     a^s (2 a^2 + 2 a (s+1) Z + s (s+1) Z^2) / ((s-1)(a+Z)^(1+s))
 
 Every closed form is cross-checked against adaptive quadrature of the density
-in the test suite. Non-Gaussian samplers draw a uniform angle and invert the
-radial CDF with a bracketing bisection to 1e-12.
+in the test suite. Non-Gaussian samplers draw a uniform angle and an exact
+radius: ||x|| ~ Gamma(2, scale 1/c) for logconcave, and ||x||/a_s ~
+BetaPrime(2, s) = Gamma(2)/Gamma(s) for heavy_tailed. The tail quantile and
+the oracle's truncation radius invert decreasing closed forms with one
+bracketing bisection, _invert_decreasing.
 """
 
 from __future__ import annotations
@@ -101,31 +104,14 @@ def solve_isotropic_params(s: float) -> tuple[float, float]:
     """Scale (a_s, b_s) making the heavy-tailed density a unit-mass,
     identity-covariance 2D distribution.
 
-    Normalization eliminates b_s exactly: b_s = s(1+s)/(2 pi a_s^2). The
-    remaining equation E||x||^2 = 6 a_s^2 / ((s-2)(s-1)) = 2 is solved for a_s
-    by bracketing bisection (monotone increasing in a_s) to 1e-12.
+    Normalization gives b_s = s(1+s)/(2 pi a_s^2), and E||x||^2 =
+    6 a_s^2 / ((s-2)(s-1)) = 2 gives a_s = sqrt((s-2)(s-1)/3).
     """
     s = float(s)
-    if s <= 2.0:
-        raise ValueError("s must be > 2: the second moment diverges at s <= 2")
-
-    def second_moment(a: float) -> float:
-        return 6.0 * a * a / ((s - 2.0) * (s - 1.0))
-
-    lo, hi = 1e-9, 1.0
-    while second_moment(hi) < 2.0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if second_moment(mid) < 2.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, hi):
-            break
-    a = 0.5 * (lo + hi)
-    b = s * (1.0 + s) / (2.0 * math.pi * a * a)
-    return a, b
+    if not s > 2.0:
+        raise ValueError("heavy_tailed requires s > 2 (second moment diverges otherwise)")
+    a = math.sqrt((s - 2.0) * (s - 1.0) / 3.0)
+    return a, s * (1.0 + s) / (2.0 * math.pi * a * a)
 
 
 # ---------------------------------------------------------------------------
@@ -251,63 +237,54 @@ def mean_norm(spec: DistributionSpec) -> float:
     return float(truncated_first_moment(spec, 0.0))
 
 
+def _invert_decreasing(g, target: float) -> float:
+    """For g decreasing on [0, inf): the upper end R of a bisection bracket
+    of g = target, narrowed to relative width 1e-13, so g(R) <= target."""
+    lo, hi = 0.0, 1.0
+    while g(hi) > target:
+        lo, hi = hi, 2.0 * hi
+        if hi > 1e300:
+            raise RuntimeError(f"no finite R with g(R) <= {target:g}")
+    for _ in range(200):
+        if hi - lo <= 1e-13 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if g(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def z_for_tail_mass(spec: DistributionSpec, p: float) -> float:
-    """The radius Z with Pr[||x|| >= Z] = p, by bracketing bisection."""
+    """A radius Z with Pr[||x|| >= Z] = p to relative 1e-13, never above p."""
     if not 0.0 < p <= 1.0:
         raise ValueError("tail mass must lie in (0, 1]")
     if p == 1.0:
         return 0.0
-    if spec.family == "gaussian" and spec.dim == 2:
-        return math.sqrt(2.0 * math.log(1.0 / p))
-    lo, hi = 0.0, 1.0
-    while radial_tail_mass(spec, hi) > p:
-        hi *= 2.0
-        if hi > 1e14:
-            raise RuntimeError("failed to bracket the tail quantile")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if radial_tail_mass(spec, mid) > p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    return _invert_decreasing(lambda z: radial_tail_mass(spec, z), p)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
-def _invert_radial_tail(spec: DistributionSpec, t: np.ndarray) -> np.ndarray:
-    """Vectorized bracketing bisection: r >= 0 with tail(r) = t, t in (0, 1]."""
-    lo = np.zeros_like(t)
-    hi = np.full_like(t, 1.0)
-    # grow the bracket until tail(hi) < t everywhere
-    for _ in range(80):
-        mask = radial_tail_mass(spec, hi) > t
-        if not np.any(mask):
-            break
-        hi[mask] *= 2.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        too_big = radial_tail_mass(spec, mid) > t
-        lo = np.where(too_big, mid, lo)
-        hi = np.where(too_big, hi, mid)
-    return 0.5 * (lo + hi)
-
-
 def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """n i.i.d. points from the marginal, drawn from rng.
 
     Gaussian: standard normal per coordinate. 2D radial families: uniform
-    angle, radius by inverse CDF of the radial marginal.
+    angle and an exact radius, Gamma(2, scale 1/(2 sqrt3)) for logconcave
+    (radial density 12 r e^{-2 sqrt3 r}) and a_s * Gamma(2) / Gamma(s) for
+    heavy_tailed (r/a_s ~ BetaPrime(2, s), density s(s+1) u (1+u)^{-(2+s)}).
     """
     if spec.family == "gaussian":
         return rng.standard_normal((n, spec.dim))
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    u = rng.random(n)
-    r = _invert_radial_tail(spec, 1.0 - u)
+    if spec.family == "logconcave":
+        r = rng.gamma(2.0, 1.0 / _C_LC, n)
+    else:
+        r = rng.gamma(2.0, spec.a_s, n)  # scaled draw, in-place divide: one n-array temporary
+        r /= rng.gamma(spec.s, 1.0, n)
     return r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
 
 

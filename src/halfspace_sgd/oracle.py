@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 ANGLE_MARGIN = 1e-9  # safety margin subtracted from the admissible cone angle
+# (loss kind, family) pairs the oracle refuses for every s: the truncation
+# bound for the unbounded squared-hinge slope is only derived for light tails
+UNSUPPORTED_PAIRS = frozenset({("squared_hinge", "heavy_tailed")})
 
 
 @dataclass(frozen=True)
@@ -81,39 +84,22 @@ def _loss_linf_slope(loss: ConvexSurrogate) -> float | None:
 
 
 def _auto_r_max(loss: ConvexSurrogate, spec, rho: float, tol: float) -> float:
-    """Truncation radius: neglected tail contributes < tol/10 to the gradient."""
-    budget = tol / 10.0
-
+    """Truncation radius: neglected tail contributes <= tol/10 to the gradient."""
+    if (loss.kind, spec.family) in UNSUPPORTED_PAIRS:
+        raise NotImplementedError(f"the {loss.kind} oracle is not implemented for the {spec.family} family")
     if _loss_linf_slope(loss) is not None:
         # |grad tail| <= E[1{r >= R} r] since l' <= 1
-        def excess(R):
-            return dist.truncated_first_moment(spec, R) - budget
+        def bound(R):
+            return dist.truncated_first_moment(spec, R)
     else:
-        if spec.family == "heavy_tailed":
-            raise NotImplementedError(
-                "squared_hinge population gradient diverges for heavy tails with s <= 4"
-            )
-
         # |grad tail| <= E[1{r >= R} r * 2(1 + rho r)]
-        def excess(R):
+        def bound(R):
             return (
                 2.0 * dist.truncated_first_moment(spec, R)
                 + 2.0 * rho * dist.truncated_second_moment(spec, R)
-                - budget
             )
 
-    lo, hi = 1.0, 2.0
-    while excess(hi) > 0:
-        hi *= 2.0
-        if hi > 1e300:
-            raise QuadratureError("could not find a finite truncation radius")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return dist._invert_decreasing(bound, tol / 10.0)
 
 
 def _sector_break_angles(model: NoiseModel, frame_shift: float) -> np.ndarray:

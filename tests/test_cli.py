@@ -96,7 +96,11 @@ def test_malformed_line_exits_2(tmp_path):
     ("lowerbound", TINY_LOWERBOUND.replace("families = gaussian", "families = foo"), [], "foo"),
     ("lowerbound", TINY_LOWERBOUND.replace("losses = logistic", "losses = nope"), [], "nope"),
     ("compare", TINY_COMPARE.replace("family = gaussian", "family = heavy_tailed\ns = 2.0"), [], "s > 2"),
-], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2"])
+    ("lowerbound", TINY_LOWERBOUND.replace("families = gaussian", "families = heavy_tailed\ns = 5.0")
+     .replace("losses = logistic", "losses = squared_hinge"), [], "squared_hinge"),
+    ("learn", TINY_LEARN.replace("d = 3", "d = 1"), [], "dimension must be >= 2"),
+], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2",
+        "squared-hinge-heavy", "d-1"])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flags, needle):
     out = tmp_path / "o.csv"
     cfg = _write(tmp_path / "c.txt", text)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.quadrature import integrate_refining
@@ -155,6 +156,7 @@ def test_z_for_tail_mass_roundtrip():
         for p in (0.5, 0.05, 1e-3):
             Z = dist.z_for_tail_mass(spec, p)
             assert dist.radial_tail_mass(spec, Z) == pytest.approx(p, rel=1e-9)
+            assert dist.radial_tail_mass(spec, Z) <= p
     with pytest.raises(ValueError):
         dist.z_for_tail_mass(dist.gaussian(2), 0.0)
 
@@ -199,6 +201,18 @@ def test_heavy_tail_empirical_mass_matches_closed_form():
         p = dist.radial_tail_mass(spec, Z)
         emp = float(np.mean(norms >= Z))
         assert abs(emp - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20_000, 100_000),
+       s=st.one_of(st.none(), st.floats(2.1, 8.0)))
+def test_sampled_tail_masses_match_closed_form(seed, n, s):
+    # s = None stands for the log-concave family
+    spec = dist.log_concave() if s is None else dist.heavy_tailed(s)
+    norms = np.linalg.norm(dist.sample(spec, n, seed), axis=1)
+    for p in (0.5, 0.1, 0.01):
+        emp = float(np.mean(norms >= dist.z_for_tail_mass(spec, p)))
+        assert abs(emp - p) <= 5.0 * math.sqrt(p * (1 - p) / n)
 
 
 def _ks_uniform(values01: np.ndarray) -> float:

@@ -3,12 +3,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import unit_vector
 from halfspace_sgd.learner import (
     LearnerConfig,
     _select,
+    _zero_one_errors_2d,
     c_const_for,
     default_holdout_size,
     derive_seed,
@@ -17,7 +19,7 @@ from halfspace_sgd.learner import (
     learn_batch,
     zero_one_errors,
 )
-from halfspace_sgd.noise import clean_labels, far_flip, make_dataset
+from halfspace_sgd.noise import LabeledDataset, clean_labels, far_flip, make_dataset
 from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, psgd_lockstep
 
 
@@ -64,6 +66,16 @@ def test_zero_one_errors_matches_scalar_loop():
     errs = zero_one_errors(W, ds, chunk=3)
     for i in range(10):
         assert errs[i] == estimate_err01(W[i], ds)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 2000), k=st.integers(1, 40))
+def test_interval_count_equals_matmul_count(seed, n, k):
+    rng = np.random.default_rng(seed)
+    ds = LabeledDataset(rng.standard_normal((n, 2)), rng.choice([-1.0, 1.0], n), np.zeros(n, dtype=bool))
+    W = rng.standard_normal((k, 2))
+    direct = np.mean((ds.x @ W.T >= 0.0) != (ds.y[:, None] > 0.0), axis=0)
+    np.testing.assert_array_equal(_zero_one_errors_2d(W, ds), direct)
 
 
 def test_select_best_single_and_planted():

@@ -44,9 +44,11 @@ def test_integrate_refining_matches_known_integral():
 
 
 def test_integrate_refining_explicit_failure():
+    # on <= 4 panels sin(1000 x) is unresolved: estimates differ by O(1), so
+    # the doubling budget runs out far above tol and its roundoff floor
     rng_bumpy = lambda x: np.sin(1000.0 * x)
     with pytest.raises(QuadratureError, match="did not reach tol"):
-        integrate_refining(rng_bumpy, 0.0, 10.0, 1e-14, panels=1, max_doublings=2)
+        integrate_refining(rng_bumpy, 0.0, 10.0, 1e-8, panels=1, max_doublings=2)
 
 
 def test_integrate_refining_tol_below_roundoff_raises_at_once():
@@ -93,10 +95,10 @@ def test_gradient_matches_monte_carlo_gaussian(loss):
 @pytest.mark.parametrize("family", ["gaussian", "logconcave", "heavy_tailed"])
 @pytest.mark.parametrize("kind", ["logistic", "hinge", "squared_hinge"])
 def test_gradient_matches_monte_carlo_all_pairs(kind, family):
-    # full cross-oracle matrix at opt = 0.01 (squared hinge has no finite
-    # population gradient under the s = 3 heavy tail)
+    # full cross-oracle matrix at opt = 0.01 (the oracle does not implement
+    # squared hinge on the heavy-tailed family)
     if kind == "squared_hinge" and family == "heavy_tailed":
-        pytest.skip("population gradient diverges; refusal covered elsewhere")
+        pytest.skip("pair not implemented; refusal covered elsewhere")
     spec = {"gaussian": dist.gaussian(2), "logconcave": dist.log_concave(),
             "heavy_tailed": dist.heavy_tailed(3.0)}[family]
     loss = convex_surrogate(kind)
