@@ -21,7 +21,7 @@ from .distributions import (
     z_for_tail_mass,
 )
 from .losses import ConvexSurrogate, convex_surrogate, sigmoid
-from .noise import LabeledDataset, NoiseModel, clean_labels, far_flip, make_dataset, random_flip
+from .noise import LabeledDataset, NoiseModel, clean_labels, far_flip, make_dataset
 from .optimizer import PsgdConfig
 from .learner import LearnerConfig, TrialReport, estimate_err01, learn
 from .oracle import (

@@ -20,8 +20,19 @@ from .losses import ConvexSurrogate, convex_grad_mean, convex_loss_mean
 __all__ = ["full_batch_minimize"]
 
 
+def _hessian(loss, X, y, w):
+    """Mean of l''(-y <x, w>) x x^T, one weighted column product per row of
+    the d x d result, so no weighted copy of X is made."""
+    t = -y * (X @ w)
+    if loss.kind == "logistic":
+        p = loss.slope(t)
+        curve = p * (1.0 - p)
+    else:  # squared_hinge: l'' = 2 on the active set
+        curve = 2.0 * (t >= -1.0)
+    return np.stack([(X[:, i] * curve) @ X for i in range(X.shape[1])]) / X.shape[0]
+
+
 def _newton(loss, X, y, w0, gtol, max_iter):
-    n = X.shape[0]
     d = X.shape[1]
     w = np.asarray(w0, dtype=float).copy()
     g = convex_grad_mean(w, X, y, loss)
@@ -29,13 +40,7 @@ def _newton(loss, X, y, w0, gtol, max_iter):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= gtol:
             return w, gnorm, it
-        t = -y * (X @ w)
-        if loss.kind == "logistic":
-            p = loss.slope(t)
-            curve = p * (1.0 - p)
-        else:  # squared_hinge: l'' = 2 on the active set
-            curve = 2.0 * (t >= -1.0)
-        H = (X * curve[:, None]).T @ X / n + 1e-12 * np.eye(d)
+        H = _hessian(loss, X, y, w) + 1e-12 * np.eye(d)
         step = np.linalg.solve(H, g)
         f0 = convex_loss_mean(w, X, y, loss)
         decrement = float(g @ step)

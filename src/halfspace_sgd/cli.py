@@ -21,11 +21,13 @@ CSV keeps a FAILED marker row), 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from . import distributions as dist
 from .baselines import full_batch_minimize
 from .geometry import angle_between, unit_vector
 from .learner import LearnerConfig, derive_seed, learn_batch
-from .losses import CONVEX_KINDS, convex_surrogate
+from .losses import convex_surrogate
 from .noise import far_flip, make_dataset
 from .oracle import UNSUPPORTED_PAIRS, QuadratureSpec, admissible_theta, predicted_floor, scan_cone
 
@@ -80,7 +82,7 @@ _SCHEMAS = {
         "t_cap": (int, 200_000),
         "grid": (_float_list, LearnerConfig().grid),
         "theta2": (float, math.pi / 8.0),
-        "holdout_size": (int, 0),  # 0: the c_H * ln(d/(eps delta))/eps^2 formula
+        "holdout_size": (int, 0),  # 0: learner.default_holdout_size
         "eval_size": (int, 200_000),
         "rho": (float, 0.25),
         "stride": (int, 400),
@@ -137,9 +139,7 @@ def parse_config(path: str, command: str) -> dict:
 
 
 def _make_spec(family: str, d: int, s: float):
-    if family == "heavy_tailed":
-        return replace(dist.heavy_tailed(s), dim=d)
-    return dist.DistributionSpec(family, d)
+    return dist.DistributionSpec(family, d, s if family == "heavy_tailed" else None)
 
 
 def _fmt(v) -> str:
@@ -181,11 +181,9 @@ _SWEEP_HEADER = [
 ]
 
 
-def _learn_group(args) -> list[list]:
-    cfg, opt, seeds, timing, per_sigma_rows = args
+def _learn_groups(cfg, seeds, timing: bool, per_sigma_rows: bool) -> list[tuple]:
     spec = _make_spec(cfg["family"], cfg["d"], cfg["s"])
     w_star = unit_vector(spec.dim, 1)
-    model = far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=cfg["theta2"])
     lc = LearnerConfig(
         epsilon=cfg["epsilon"],
         delta=cfg["delta"],
@@ -196,6 +194,15 @@ def _learn_group(args) -> list[list]:
         eval_size=cfg["eval_size"],
         candidate_stride=cfg["stride"],
     )
+    return [
+        (spec, far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=cfg["theta2"]), lc, opt,
+         seeds, timing, per_sigma_rows)
+        for opt in cfg["opt_list"]
+    ]
+
+
+def _learn_group(args) -> list[list]:
+    spec, model, lc, opt, seeds, timing, per_sigma_rows = args
     rows = []
     for rep in learn_batch(spec, model, lc, seeds, opt_target=opt):
         if per_sigma_rows:
@@ -224,38 +231,43 @@ _COMPARE_HEADER = [
 ]
 
 
-def _compare_group(args) -> list[list]:
-    cfg, opt, opt_index, seeds, _timing = args
+def _compare_groups(cfg, seeds) -> list[tuple]:
     spec = _make_spec(cfg["family"], 2, cfg["s"])
+    losses = [convex_surrogate(kind) for kind in cfg["losses"]]
     w_star = unit_vector(2, 1)
-    Z = dist.z_for_tail_mass(spec, opt)
-    theta = admissible_theta(spec, Z)
-    model = far_flip(w_star, Z=Z, theta2=2.0 * theta)
-    floor = predicted_floor(spec, opt)
+    groups = []
+    for k, opt in enumerate(cfg["opt_list"]):
+        Z = dist.z_for_tail_mass(spec, opt)
+        model = far_flip(w_star, Z=Z, theta2=2.0 * admissible_theta(spec, Z))
+        lc = LearnerConfig(
+            grid=tuple(cfg["grid"]),
+            t_cap=cfg["t_cap"],
+            rho=cfg["rho"],
+            holdout_size=min(cfg["holdout_cap"], int(math.ceil(cfg["holdout_k"] / opt))),
+            eval_size=cfg["eval_size"],
+            candidate_stride=cfg["stride"],
+        )
+        conv_seed = derive_seed(cfg["seed_base"], 700, k)
+        groups.append((spec, model, lc, losses, opt, predicted_floor(spec, opt), seeds,
+                       cfg["conv_n"], conv_seed, cfg["gtol"]))
+    return groups
 
-    conv_ds = make_dataset(spec, model, cfg["conv_n"], derive_seed(cfg["seed_base"], 700, opt_index))
-    convex = {}
-    for kind in cfg["losses"]:
-        loss = convex_surrogate(kind)
-        w_c, gnorm, _ = full_batch_minimize(loss, conv_ds.x, conv_ds.y, w0=w_star, gtol=cfg["gtol"])
-        convex[kind] = (angle_between(w_c / np.linalg.norm(w_c), w_star), gnorm)
 
-    holdout = min(cfg["holdout_cap"], int(math.ceil(cfg["holdout_k"] / opt)))
-    lc = LearnerConfig(
-        grid=tuple(cfg["grid"]),
-        t_cap=cfg["t_cap"],
-        rho=cfg["rho"],
-        holdout_size=holdout,
-        eval_size=cfg["eval_size"],
-        candidate_stride=cfg["stride"],
-    )
+def _compare_group(args) -> list[list]:
+    spec, model, lc, losses, opt, floor, seeds, conv_n, conv_seed, gtol = args
+    w_star = model.w_star
+    conv_ds = make_dataset(spec, model, conv_n, conv_seed)
+    convex = []
+    for loss in losses:
+        w_c, gnorm, _ = full_batch_minimize(loss, conv_ds.x, conv_ds.y, w0=w_star, gtol=gtol)
+        convex.append((loss.kind, angle_between(w_c / np.linalg.norm(w_c), w_star), gnorm))
+
     reports = learn_batch(spec, model, lc, seeds, opt_target=opt)
     rows = []
-    for kind in cfg["losses"]:
-        c_angle, c_gnorm = convex[kind]
+    for kind, c_angle, c_gnorm in convex:
         for rep in reports:
             rows.append([
-                cfg["family"], opt, kind, rep.seed, rep.angle_to_wstar, rep.err01,
+                spec.family, opt, kind, rep.seed, rep.angle_to_wstar, rep.err01,
                 rep.sigma_best, c_angle, c_gnorm, floor,
             ])
     return rows
@@ -271,16 +283,26 @@ _LOWERBOUND_HEADER = [
 ]
 
 
+def _lowerbound_groups(cfg) -> list[tuple]:
+    quad = QuadratureSpec(tol=cfg["tol"])
+    groups = []
+    for kind in cfg["losses"]:
+        loss = convex_surrogate(kind)
+        for family in cfg["families"]:
+            if (kind, family) in UNSUPPORTED_PAIRS:
+                raise ValueError(f"the {kind} oracle is not implemented for the {family} family")
+            spec = _make_spec(family, 2, cfg["s"])
+            Z = dist.z_for_tail_mass(spec, cfg["opt"])
+            groups.append((loss, spec, cfg["opt"], Z, admissible_theta(spec, Z), cfg["grid_points"], quad))
+    return groups
+
+
 def _lowerbound_group(args) -> list[list]:
-    cfg, kind, family = args
-    spec = _make_spec(family, 2, cfg["s"])
-    loss = convex_surrogate(kind)
-    Z = dist.z_for_tail_mass(spec, cfg["opt"])
-    theta = admissible_theta(spec, Z)
-    rep = scan_cone(loss, spec, Z, theta, cfg["grid_points"], QuadratureSpec(tol=cfg["tol"]))
+    loss, spec, opt, Z, theta, grid_points, quad = args
+    rep = scan_cone(loss, spec, Z, theta, grid_points, quad)
     certified = rep.min_grad_norm > 10.0 * rep.max_quad_error
     return [[
-        kind, family, cfg["opt"], rep.Z, theta, rep.theta, rep.grid_points,
+        loss.kind, spec.family, opt, rep.Z, theta, rep.theta, rep.grid_points,
         rep.min_grad_norm, rep.argmin_angle, rep.max_quad_error, certified,
     ]]
 
@@ -290,37 +312,44 @@ def _lowerbound_group(args) -> list[list]:
 # ---------------------------------------------------------------------------
 
 def _run_groups(groups, worker, workers: int, header_width: int):
-    """Run work groups (parallel if workers > 1), keeping config order.
+    """Run work groups, keeping config order; at most min(workers, groups,
+    cpu count) processes, and none beyond this one when that is 1.
 
     A group that raises contributes one FAILED marker row instead of
     aborting the harness; returns (rows, any_failure).
     """
     rows: list[list] = []
     failed = False
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            futures = [ex.submit(worker, g) for g in groups]
-            outcomes = []
-            for fut in futures:
-                try:
-                    outcomes.append((fut.result(), None))
-                except Exception as exc:
-                    outcomes.append((None, exc))
-    else:
-        outcomes = []
-        for g in groups:
+    n = min(workers, len(groups), os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=n) if n > 1 else contextlib.nullcontext() as pool:
+        calls = [pool.submit(worker, g).result if pool else partial(worker, g) for g in groups]
+        for call in calls:
             try:
-                outcomes.append((worker(g), None))
+                rows.extend(call())
             except Exception as exc:
-                outcomes.append((None, exc))
-    for (result, exc), group in zip(outcomes, groups):
-        if exc is None:
-            rows.extend(result)
-        else:
-            print(f"halfspace-bench: group failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-            rows.append(_failure_row(header_width, f"{type(exc).__name__}: {exc}"))
-            failed = True
+                print(f"halfspace-bench: group failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+                rows.append(_failure_row(header_width, f"{type(exc).__name__}: {exc}"))
+                failed = True
     return rows, failed
+
+
+def _build_groups(command: str, cfg: dict, timing: bool):
+    """(CSV header, worker, groups) for a command; every spec, noise model,
+    LearnerConfig and scan input is built here, so a bad value raises
+    ValueError before any group runs."""
+    if command == "lowerbound":
+        if not cfg["families"] or not cfg["losses"]:
+            raise ValueError("families and losses must be nonempty")
+        return _LOWERBOUND_HEADER, _lowerbound_group, _lowerbound_groups(cfg)
+    if not cfg["opt_list"]:
+        raise ValueError("opt_list must be nonempty")
+    if any(not 0.0 < o < 0.5 for o in cfg["opt_list"]):
+        raise ValueError("opt_list values must lie in (0, 1/2)")
+    seeds = [cfg["seed_base"] + j for j in range(cfg["seeds"])]
+    if command == "compare":
+        return _COMPARE_HEADER, _compare_group, _compare_groups(cfg, seeds)
+    header = _SWEEP_HEADER if command == "sweep" else _LEARN_HEADER
+    return header, _learn_group, _learn_groups(cfg, seeds, timing, command == "sweep")
 
 
 def main(argv=None) -> int:
@@ -342,47 +371,16 @@ def main(argv=None) -> int:
             raise ConfigError("no output path: pass --out or set 'out' in the config")
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
-        if cfg.get("seeds", 1) < 1:
-            raise ConfigError("seeds must be >= 1")
-        if args.command in ("learn", "sweep", "compare"):
-            if not cfg["opt_list"]:
-                raise ConfigError("opt_list must be nonempty")
-            if any(not 0.0 < o < 0.5 for o in cfg["opt_list"]):
-                raise ConfigError("opt_list values must lie in (0, 1/2)")
-        if args.command == "lowerbound" and (not cfg["families"] or not cfg["losses"]):
-            raise ConfigError("families and losses must be nonempty")
-        families = cfg["families"] if args.command == "lowerbound" else (cfg["family"],)
-        for family in families:
-            try:
-                _make_spec(family, cfg.get("d", 2), cfg["s"])
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        for kind in cfg.get("losses", ()):
-            if kind not in CONVEX_KINDS:
-                raise ConfigError(f"unknown loss {kind!r}; expected one of {CONVEX_KINDS}")
-        if args.command == "lowerbound":
-            for kind in cfg["losses"]:
-                for family in families:
-                    if (kind, family) in UNSUPPORTED_PAIRS:
-                        raise ConfigError(f"the {kind} oracle is not implemented for the {family} family")
+        for key in ("seeds", "conv_n", "grid_points"):
+            if key in cfg and cfg[key] < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        try:
+            header, worker, groups = _build_groups(args.command, cfg, args.timing)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     except ConfigError as exc:
         print(f"halfspace-bench: config error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command != "lowerbound":
-        seeds = [cfg["seed_base"] + j for j in range(cfg["seeds"])]
-    if args.command in ("learn", "sweep"):
-        header = _SWEEP_HEADER if args.command == "sweep" else _LEARN_HEADER
-        groups = [(cfg, opt, seeds, args.timing, args.command == "sweep") for opt in cfg["opt_list"]]
-        worker = _learn_group
-    elif args.command == "compare":
-        header = _COMPARE_HEADER
-        groups = [(cfg, opt, k, seeds, args.timing) for k, opt in enumerate(cfg["opt_list"])]
-        worker = _compare_group
-    else:
-        header = _LOWERBOUND_HEADER
-        groups = [(cfg, kind, family) for kind in cfg["losses"] for family in cfg["families"]]
-        worker = _lowerbound_group
 
     rows, failed = _run_groups(groups, worker, args.workers, len(header))
 

@@ -9,8 +9,8 @@ Three radially symmetric marginals are implemented:
   and radially symmetric but NOT isotropic), and all closed forms below are
   for this exact density.
 * ``heavy_tailed`` — the 2D density b_s / (||x||/a_s + 1)^(2+s) for s > 2,
-  with (a_s, b_s) solved so the density integrates to 1 and E||x||^2 = 2
-  (identity covariance).
+  with (a_s, b_s) fixed by s so the density integrates to 1 and E||x||^2 = 2
+  (identity covariance); solve_isotropic_params gives them in closed form.
 
 Closed forms (2D, written with c = 2*sqrt(3), tail(Z) = Pr[||x|| >= Z]):
 
@@ -27,14 +27,14 @@ in the test suite. Non-Gaussian samplers draw a uniform angle and an exact
 radius: ||x|| ~ Gamma(2, scale 1/c) for logconcave, and ||x||/a_s ~
 BetaPrime(2, s) = Gamma(2)/Gamma(s) for heavy_tailed. The tail quantile and
 the oracle's truncation radius invert decreasing closed forms with one
-bracketing bisection, _invert_decreasing.
+bracketing bisection, _invert_decreasing. The well-behavedness constants
+(U, R) of every family are closed forms as well (well_behaved_params).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "mean_norm",
     "z_for_tail_mass",
     "well_behaved_params",
-    "compute_well_behaved_params",
 ]
 
 _C_LC = 2.0 * math.sqrt(3.0)  # exponential decay rate of the log-concave family
@@ -65,13 +64,11 @@ FAMILIES = ("gaussian", "logconcave", "heavy_tailed")
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """One radially symmetric marginal family with its parameters."""
+    """One radially symmetric marginal family; s is the heavy-tailed exponent."""
 
     family: str
     dim: int
     s: float | None = None
-    a_s: float | None = None
-    b_s: float | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -81,10 +78,8 @@ class DistributionSpec:
         if self.family != "gaussian" and self.dim != 2:
             raise ValueError(f"the {self.family} family is defined only for d = 2")
         if self.family == "heavy_tailed":
-            if self.s is None or self.s <= 2.0:
+            if self.s is None or not self.s > 2.0:
                 raise ValueError("heavy_tailed requires s > 2 (second moment diverges otherwise)")
-            if self.a_s is None or self.b_s is None or self.a_s <= 0 or self.b_s <= 0:
-                raise ValueError("heavy_tailed needs positive (a_s, b_s); use heavy_tailed(s)")
 
 
 def gaussian(dim: int = 2) -> DistributionSpec:
@@ -96,8 +91,7 @@ def log_concave() -> DistributionSpec:
 
 
 def heavy_tailed(s: float) -> DistributionSpec:
-    a, b = solve_isotropic_params(s)
-    return DistributionSpec("heavy_tailed", 2, s=float(s), a_s=a, b_s=b)
+    return DistributionSpec("heavy_tailed", 2, s=float(s))
 
 
 def solve_isotropic_params(s: float) -> tuple[float, float]:
@@ -128,7 +122,8 @@ def radial_density(spec: DistributionSpec, r):
     elif spec.family == "logconcave":
         out = (6.0 / math.pi) * np.exp(-_C_LC * r)
     else:
-        out = spec.b_s / (r / spec.a_s + 1.0) ** (2.0 + spec.s)
+        a, b = solve_isotropic_params(spec.s)
+        out = b / (r / a + 1.0) ** (2.0 + spec.s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -174,7 +169,7 @@ def radial_tail_mass(spec: DistributionSpec, Z):
     elif spec.family == "logconcave":
         out = (1.0 + _C_LC * Z) * np.exp(-_C_LC * Z)
     else:
-        a, s = spec.a_s, spec.s
+        a, s = solve_isotropic_params(spec.s)[0], spec.s
         out = a**s * (a + (1.0 + s) * Z) / (a + Z) ** (1.0 + s)
     return float(out) if out.ndim == 0 else out
 
@@ -194,7 +189,7 @@ def truncated_first_moment(spec: DistributionSpec, Z):
     elif spec.family == "logconcave":
         out = np.exp(-_C_LC * Z) * (6.0 * Z * Z + 2.0 * math.sqrt(3.0) * Z + 1.0) / math.sqrt(3.0)
     else:
-        a, s = spec.a_s, spec.s
+        a, s = solve_isotropic_params(spec.s)[0], spec.s
         out = (
             a**s
             * (2.0 * a * a + 2.0 * a * (s + 1.0) * Z + s * (s + 1.0) * Z * Z)
@@ -220,7 +215,7 @@ def truncated_second_moment(spec: DistributionSpec, Z):
         c = _C_LC
         out = 12.0 * np.exp(-c * Z) * (Z**3 / c + 3.0 * Z**2 / c**2 + 6.0 * Z / c**3 + 6.0 / c**4)
     else:
-        a, s = spec.a_s, spec.s
+        a, s = solve_isotropic_params(spec.s)[0], spec.s
         v = Z / a + 1.0
         i3 = (
             v ** (2.0 - s) / (s - 2.0)
@@ -282,8 +277,8 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
     phi = rng.uniform(0.0, 2.0 * math.pi, n)
     if spec.family == "logconcave":
         r = rng.gamma(2.0, 1.0 / _C_LC, n)
-    else:
-        r = rng.gamma(2.0, spec.a_s, n)  # scaled draw, in-place divide: one n-array temporary
+    else:  # scaled draw, in-place divide: one n-array temporary
+        r = rng.gamma(2.0, solve_isotropic_params(spec.s)[0], n)
         r /= rng.gamma(spec.s, 1.0, n)
     return r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
 
@@ -318,7 +313,7 @@ class WellBehavedParams:
     The density is >= 1/U on the disk ||x|| <= R, and the radial envelope
     t(r) = gamma(r) satisfies sup t <= U, integral of t <= U and integral of
     ||x|| t <= U. R is chosen to maximize R^4/U^3, the combination gating the
-    surrogate analysis; values for the stock families ship in data/.
+    surrogate analysis.
     """
 
     family: str
@@ -326,43 +321,26 @@ class WellBehavedParams:
     R: float
 
 
-def compute_well_behaved_params(spec: DistributionSpec) -> WellBehavedParams:
-    """Recompute (U, R) by bounding the density over the disk ||x|| <= R."""
-    if spec.dim != 2:
-        raise ValueError("well-behaved constants are defined for the 2D projections")
-    u0 = max(float(radial_density(spec, 0.0)), 1.0, mean_norm(spec))
+def well_behaved_params(spec: DistributionSpec) -> WellBehavedParams:
+    """(U, R) of the spec's 2D projection, in closed form.
 
-    def u_of(rr: float) -> float:
-        return max(u0, 1.0 / float(radial_density(spec, rr)))
-
-    grid = np.linspace(1e-3, 6.0, 6000)
-    objective = grid**4 / np.array([u_of(g) for g in grid]) ** 3
-    i = int(np.argmax(objective))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if m1**4 / u_of(m1) ** 3 < m2**4 / u_of(m2) ** 3:
-            lo = m1
-        else:
-            hi = m2
-    best_r = float(0.5 * (lo + hi))
-    return WellBehavedParams(spec.family, float(u_of(best_r)), best_r)
-
-
-def _constants_path():
-    return resources.files("halfspace_sgd").joinpath("data/well_behaved.txt")
-
-
-def well_behaved_params(family: str) -> WellBehavedParams:
-    """Load the recorded (U, R) constants for a stock family."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    table = {}
-    for line in _constants_path().read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        table[key.strip()] = float(value)
-    return WellBehavedParams(family, U=table[f"{family}.U"], R=table[f"{family}.R"])
+    The envelope bounds hold for U >= u0 = max(gamma(0), 1, E||x||), so the
+    least U for a radius R is max(u0, 1/gamma(R)). 1/gamma increases and
+    reaches u0 at R0 (R0 = 0 if 1/gamma(0) >= u0). Below R0, R^4/U^3 grows
+    like R^4; above it, it is R^4 gamma(R)^3, which has a single stationary
+    point R* (2/sqrt3, 2/(3 sqrt3) and 4 a_s/(3s + 2) for the three
+    families). Hence R = max(R*, R0).
+    """
+    spec = DistributionSpec(spec.family, 2, spec.s)  # every family projects to itself
+    g0 = float(radial_density(spec, 0.0))
+    u0 = max(g0, 1.0, mean_norm(spec))
+    q0 = max(1.0, u0 * g0)  # gamma(0)/gamma(R0)
+    if spec.family == "gaussian":
+        r_star, r0 = 2.0 / math.sqrt(3.0), math.sqrt(2.0 * math.log(q0))
+    elif spec.family == "logconcave":
+        r_star, r0 = 4.0 / (3.0 * _C_LC), math.log(q0) / _C_LC
+    else:
+        a = solve_isotropic_params(spec.s)[0]
+        r_star, r0 = 4.0 * a / (3.0 * spec.s + 2.0), a * (q0 ** (1.0 / (2.0 + spec.s)) - 1.0)
+    R = max(r_star, r0)
+    return WellBehavedParams(spec.family, U=max(u0, 1.0 / float(radial_density(spec, R))), R=R)

@@ -1,5 +1,8 @@
 """Label-generation rules: clean halfspace labels and the far-flip adversary.
 
+Both rules are deterministic functions of (w*, x): labels carry no
+randomness of their own, so a dataset is fixed by its points.
+
 The far-flip construction corrupts a clean homogeneous halfspace w* by
 flipping every label in S \\ C, where
 
@@ -33,7 +36,6 @@ __all__ = [
     "LabeledDataset",
     "clean_labels",
     "far_flip",
-    "random_flip",
     "corrupt_labels",
     "make_dataset",
 ]
@@ -43,11 +45,10 @@ __all__ = [
 class NoiseModel:
     """Rule mapping (w*, x, clean label) to the observed label."""
 
-    kind: str                      # "clean" | "far_flip" | "random_flip"
+    kind: str                      # "clean" | "far_flip"
     w_star: np.ndarray
     theta2: float = 0.0            # far_flip: angle from w* to w_tilde, in (0, pi/4]
     Z: float = math.inf            # far_flip: flip radius
-    eta: float = 0.0               # random_flip: flip probability
     w_tilde: np.ndarray = field(default=None, repr=False)
     w_perp: np.ndarray = field(default=None, repr=False)
 
@@ -95,33 +96,20 @@ def far_flip(w_star, Z: float, theta2: float) -> NoiseModel:
     )
 
 
-def random_flip(w_star, eta: float) -> NoiseModel:
-    """Baseline symmetric noise: each label flips independently w.p. eta."""
-    if not 0.0 <= eta < 0.5:
-        raise ValueError("random_flip needs 0 <= eta < 1/2")
-    return NoiseModel("random_flip", project_to_sphere(w_star), eta=float(eta))
-
-
 def _memberships(model: NoiseModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     in_s = np.sqrt(np.sum(X * X, axis=1)) >= model.Z
     in_c = (X @ model.w_star) * (X @ model.w_perp) <= 0.0
     return in_c, in_s
 
 
-def corrupt_labels(
-    model: NoiseModel, X: np.ndarray, clean_y: np.ndarray, rng: np.random.Generator | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def corrupt_labels(model: NoiseModel, X: np.ndarray, clean_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Observed labels for the rows of X given their clean labels; returns
-    (observed labels, flip mask). random_flip draws its flips from rng."""
-    if model.kind == "clean":
-        flip = np.zeros(X.shape[0], dtype=bool)
-    elif model.kind == "far_flip":
+    (observed labels, flip mask)."""
+    if model.kind == "far_flip":
         in_c, in_s = _memberships(model, X)
         flip = in_s & ~in_c
     else:
-        if rng is None:
-            raise ValueError("random_flip noise needs an explicit rng")
-        flip = rng.random(X.shape[0]) < model.eta
+        flip = np.zeros(X.shape[0], dtype=bool)
     return np.where(flip, -clean_y, clean_y), flip
 
 
@@ -157,6 +145,5 @@ def make_dataset(spec, model: NoiseModel, n: int, seed: int) -> LabeledDataset:
         raise ValueError(f"dimension mismatch: spec d={spec.dim}, noise d={model.dim}")
     X = sample(spec, n, seed)
     clean = halfspace_labels(model.w_star, X)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xFEED)))
-    y, flip = corrupt_labels(model, X, clean, rng)
+    y, flip = corrupt_labels(model, X, clean)
     return LabeledDataset(X, y, flip)

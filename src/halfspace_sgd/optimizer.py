@@ -29,16 +29,15 @@ _CHUNK = 2048  # stream draw granularity; invisible to results
 
 @dataclass(frozen=True)
 class PsgdConfig:
-    """Step count, step size and surrogate width for one PSGD pass.
+    """Step count and surrogate width for one PSGD pass.
 
-    beta = None applies the default schedule beta = (sigma * rho)^2, where rho
-    is the target stationarity level (a desk-scale knob; the analysis constant
-    R^2/(64U) is far too small to move any capped run).
+    The step size is beta = (sigma * rho)^2, where rho is the target
+    stationarity level (a desk-scale knob; the analysis constant R^2/(64U) is
+    far too small to move any capped run).
     """
 
     T: int
     sigma: float
-    beta: float | None = None
     rho: float = 0.25
 
     def __post_init__(self):
@@ -46,13 +45,9 @@ class PsgdConfig:
             raise ValueError("T must be >= 1")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.beta is not None and self.beta < 0:
-            raise ValueError("beta must be nonnegative")
 
     @property
     def step_size(self) -> float:
-        if self.beta is not None:
-            return self.beta
         return (self.sigma * self.rho) ** 2
 
 
@@ -68,7 +63,7 @@ def psgd_lockstep(streams, config, keep_every: int = 1) -> LockstepResult:
     """Advance len(streams) independent PSGD runs in lockstep.
 
     `config` is one PsgdConfig shared by all runs, or a sequence of configs
-    (one per stream, equal T) whose sigma/beta may differ per row. Keeps
+    (one per stream, equal T) whose sigma and rho may differ per row. Keeps
     every `keep_every`-th iterate (and always the last). Row-local arithmetic
     only, so each row reproduces its solo run bitwise.
 
@@ -147,7 +142,6 @@ class NoisyExampleStream:
             raise ValueError(f"dimension mismatch: spec d={spec.dim}, noise d={model.dim}")
         self.model = model
         self._points = SampleStream(spec, seed)
-        self._noise_rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0xFEED)))
 
     def take(self, k: int):
         from .geometry import halfspace_labels
@@ -155,5 +149,5 @@ class NoisyExampleStream:
 
         X = self._points.take(k)
         clean = halfspace_labels(self.model.w_star, X)
-        y, _ = corrupt_labels(self.model, X, clean, self._noise_rng)
+        y, _ = corrupt_labels(self.model, X, clean)
         return X, y

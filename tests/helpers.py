@@ -23,18 +23,14 @@ def halfspace_label(w, x) -> int:
     return 1 if float(np.dot(w, x)) >= 0.0 else -1
 
 
-def apply_noise(model, x, clean_y: int, rng=None) -> int:
+def apply_noise(model, x, clean_y: int) -> int:
     """Observed label for one example; clean_y must be halfspace_label(w*, x)."""
     x = np.asarray(x, dtype=float)
     if model.kind == "clean":
         return int(clean_y)
-    if model.kind == "far_flip":
-        in_s = float(np.linalg.norm(x)) >= model.Z
-        in_c = float(x @ model.w_star) * float(x @ model.w_perp) <= 0.0
-        return int(-clean_y) if (in_s and not in_c) else int(clean_y)
-    if rng is None:
-        raise ValueError("random_flip noise needs an explicit rng")
-    return int(-clean_y) if rng.random() < model.eta else int(clean_y)
+    in_s = float(np.linalg.norm(x)) >= model.Z
+    in_c = float(x @ model.w_star) * float(x @ model.w_perp) <= 0.0
+    return int(-clean_y) if (in_s and not in_c) else int(clean_y)
 
 
 def _normalized_margin(w: np.ndarray, x: np.ndarray, y: float) -> float:
@@ -101,6 +97,31 @@ def quad_tail_mass(spec, Z, tol=1e-12):
     v1, _ = integrate_refining(f, Z, split, tol, panels=8)
     v2, _ = integrate_refining(f, split, hi, tol, panels=8, geometric=True, max_doublings=16)
     return v1 + v2
+
+
+def search_well_behaved_params(spec):
+    """(U, R) by direct search: a grid over R, then ternary refinement, of
+    R^4/U(R)^3 with U(R) the least constant bounding the density over the
+    disk ||x|| <= R and the envelope integrals; the reference the closed form
+    of dist.well_behaved_params is checked against."""
+    u0 = max(float(dist.radial_density(spec, 0.0)), 1.0, dist.mean_norm(spec))
+
+    def u_of(rr: float) -> float:
+        return max(u0, 1.0 / float(dist.radial_density(spec, rr)))
+
+    grid = np.linspace(1e-3, 6.0, 6000)
+    objective = grid**4 / np.array([u_of(g) for g in grid]) ** 3
+    i = int(np.argmax(objective))
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    for _ in range(200):
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        if m1**4 / u_of(m1) ** 3 < m2**4 / u_of(m2) ** 3:
+            lo = m1
+        else:
+            hi = m2
+    best_r = float(0.5 * (lo + hi))
+    return float(u_of(best_r)), best_r
 
 
 def ks_uniform(values01: np.ndarray) -> float:

@@ -2,13 +2,15 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS lines as they complete. The slow end-to-end criteria (5 and 7) take a
-few minutes; everything else is seconds.
+few minutes and carry the ``slow`` marker (``-m "not slow"`` skips them);
+everything else is seconds.
 """
 
 import math
 import time
 
 import numpy as np
+import pytest
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.cli import main as cli_main
@@ -129,6 +131,7 @@ def test_c4_disagreement_is_angle_over_pi():
     _report(f"C4 disagreement theta/pi: PASS ({'; '.join(lines)})")
 
 
+@pytest.mark.slow
 def test_c5_upper_bound_scaling():
     # d = 10, far-flip, opt in {0.005, 0.01, 0.02, 0.05}, eps = 0.01, 10 seeds,
     # T capped at 2e5: medians non-decreasing, slope in [0.5, 6], intercept <= 0.02
@@ -197,6 +200,7 @@ def _compare_cell(spec, opt, seeds, grid, t_cap, holdout_k=2000.0, holdout_cap=2
     return sigmoid_angle, convex_angle
 
 
+@pytest.mark.slow
 def test_c7_separation():
     seeds = [7100 + j for j in range(10)]
     start = time.perf_counter()

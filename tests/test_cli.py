@@ -1,8 +1,10 @@
 import csv
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
 
+from halfspace_sgd import cli
 from halfspace_sgd.cli import main, parse_config
 
 
@@ -99,14 +101,70 @@ def test_malformed_line_exits_2(tmp_path):
     ("lowerbound", TINY_LOWERBOUND.replace("families = gaussian", "families = heavy_tailed\ns = 5.0")
      .replace("losses = logistic", "losses = squared_hinge"), [], "squared_hinge"),
     ("learn", TINY_LEARN.replace("d = 3", "d = 1"), [], "dimension must be >= 2"),
+    ("learn", TINY_LEARN + "stride = 0\n", [], "stride must be >= 1"),
+    ("learn", TINY_LEARN + "t_cap = 0\n", [], "t_cap must be >= 1"),
+    ("learn", TINY_LEARN + "eval_size = 0\n", [], "eval_size must be >= 1"),
+    ("learn", TINY_LEARN + "holdout_size = -5\n", [], "holdout_size must be >= 1"),
+    ("learn", TINY_LEARN + "grid = -0.1\n", [], "sigma grid"),
+    ("learn", TINY_LEARN + "theta2 = 1.0\n", [], "theta2"),
+    ("learn", TINY_LEARN + "epsilon = 2\n", [], "epsilon"),
+    ("learn", TINY_LEARN + "rho = -1\n", [], "rho must be positive"),
+    ("learn", TINY_LEARN + "rho = 0\n", [], "rho must be positive"),
+    ("compare", TINY_COMPARE + "conv_n = 0\n", [], "conv_n must be >= 1"),
+    ("compare", TINY_COMPARE + "holdout_k = 0\n", [], "holdout_size must be >= 1"),
+    ("lowerbound", TINY_LOWERBOUND + "grid_points = 0\n", [], "grid_points must be >= 1"),
+    ("lowerbound", TINY_LOWERBOUND + "opt = 0\n", [], "tail mass"),
 ], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2",
-        "squared-hinge-heavy", "d-1"])
+        "squared-hinge-heavy", "d-1", "stride-0", "t_cap-0", "eval_size-0", "holdout_size-neg",
+        "grid-neg", "theta2-1", "epsilon-2", "rho-neg", "rho-0", "conv_n-0", "holdout_k-0",
+        "grid_points-0", "opt-0"])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flags, needle):
     out = tmp_path / "o.csv"
     cfg = _write(tmp_path / "c.txt", text)
     assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_groups_caps_workers_and_marks_failures(monkeypatch):
+    started = []
+
+    class FakePool:
+        """Records max_workers and runs each submission at once, in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, arg):
+            fut = Future()
+            try:
+                fut.set_result(fn(arg))
+            except Exception as exc:
+                fut.set_exception(exc)
+            return fut
+
+    def worker(g):
+        if g == 1:
+            raise RuntimeError("boom")
+        return [[g, "ok"]]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    # (workers, groups) -> pool sizes started: min(workers, groups, cpu count), none when 1
+    for workers, n_groups, pools in [(8, 2, [2]), (8, 5, [3]), (2, 5, [2]), (1, 5, []), (8, 1, [])]:
+        started.clear()
+        rows, failed = cli._run_groups(list(range(n_groups)), worker, workers, 2)
+        assert started == pools
+        assert failed == (n_groups > 1)
+        assert [r[0] for r in rows] == [0, "FAILED", 2, 3, 4][:n_groups]
+        if n_groups > 1:
+            assert rows[1] == ["FAILED", "RuntimeError: boom"]
 
 
 @pytest.mark.parametrize("line", ["family = heavy_tailed", "d = 7", "seeds = 4", "seed_base = 3"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.quadrature import integrate_refining
+from helpers import search_well_behaved_params
 
 ALL_2D = lambda: (dist.gaussian(2), dist.log_concave(), dist.heavy_tailed(3.0))
 
@@ -35,8 +36,7 @@ def quad_moment(spec, k, tol=1e-12):
 
 def test_solve_isotropic_params_satisfies_both_equations():
     for s in (2.5, 3.0, 4.0):
-        a, b = dist.solve_isotropic_params(s)
-        spec = dist.DistributionSpec("heavy_tailed", 2, s=s, a_s=a, b_s=b)
+        spec = dist.heavy_tailed(s)
         assert quad_moment(spec, 0) == pytest.approx(1.0, abs=1e-8)
         assert quad_moment(spec, 2) == pytest.approx(2.0, abs=1e-8)
 
@@ -46,6 +46,8 @@ def test_solve_isotropic_params_rejects_s_at_most_2():
         dist.solve_isotropic_params(2.0)
     with pytest.raises(ValueError):
         dist.heavy_tailed(1.5)
+    with pytest.raises(ValueError):
+        dist.heavy_tailed(float("nan"))
 
 
 def test_density_values_at_origin():
@@ -248,7 +250,7 @@ def test_sample_covariance_matches_density_covariance(family_idx):
         # the alpha = s/2 stable domain with tail constant C = 16 a^3/(3 pi),
         # so the mean fluctuates at scale C^(2/s) n^(1/(s/2) - 1).
         alpha = spec.s / 2.0
-        C = 16.0 * spec.a_s**3 / (3.0 * math.pi)
+        C = 16.0 * dist.solve_isotropic_params(spec.s)[0] ** 3 / (3.0 * math.pi)
         bound = 5.0 * C ** (1.0 / alpha) * n ** (1.0 / alpha - 1.0)
     else:
         bound = 5.0 * math.sqrt(2.0 / n)
@@ -259,17 +261,18 @@ def test_sample_covariance_matches_density_covariance(family_idx):
 
 # --- well-behaved constants ------------------------------------------------------
 
-def test_recorded_constants_match_recomputation():
-    for spec in ALL_2D():
-        rec = dist.well_behaved_params(spec.family)
-        fresh = dist.compute_well_behaved_params(spec)
-        assert rec.U == pytest.approx(fresh.U, rel=1e-8)
-        assert rec.R == pytest.approx(fresh.R, rel=1e-6)
+def test_closed_form_constants_match_search():
+    heavy = tuple(dist.heavy_tailed(s) for s in (2.1, 2.5, 3.0, 4.0, 8.0))
+    for spec in (dist.gaussian(2), dist.log_concave()) + heavy:
+        p = dist.well_behaved_params(spec)
+        U, R = search_well_behaved_params(spec)
+        assert p.U == pytest.approx(U, rel=1e-7), spec
+        assert p.R == pytest.approx(R, rel=1e-7), spec
 
 
 def test_constants_satisfy_definition():
-    for spec in ALL_2D():
-        p = dist.well_behaved_params(spec.family)
+    for spec in ALL_2D() + (dist.heavy_tailed(2.5), dist.heavy_tailed(8.0)):
+        p = dist.well_behaved_params(spec)
         r = np.linspace(0.0, p.R, 200)
         assert np.all(dist.radial_density(spec, r) >= 1.0 / p.U - 1e-12)
         assert float(dist.radial_density(spec, 0.0)) <= p.U

@@ -30,9 +30,15 @@ def _select_w(lists, holdout):
 
 
 def test_c_const_report_value():
-    p = dist.well_behaved_params("gaussian")
-    assert c_const_for("gaussian") == pytest.approx(p.R**4 / (2**15 * p.U**3), rel=1e-12)
-    assert c_const_for("gaussian") < 1e-6  # far below any desk-scale sigma
+    p = dist.well_behaved_params(dist.gaussian(2))
+    assert c_const_for(dist.gaussian(2)) == pytest.approx(p.R**4 / (2**15 * p.U**3), rel=1e-12)
+    assert c_const_for(dist.gaussian(2)) < 1e-6  # far below any desk-scale sigma
+    assert c_const_for(dist.gaussian(10)) == c_const_for(dist.gaussian(2))  # the 2D projection
+    # each heavy-tailed exponent gets its own constant, not the s = 3 one
+    for s in (2.5, 4.0):
+        p = dist.well_behaved_params(dist.heavy_tailed(s))
+        assert c_const_for(dist.heavy_tailed(s)) == pytest.approx(p.R**4 / (2**15 * p.U**3), rel=1e-12)
+        assert c_const_for(dist.heavy_tailed(s)) != pytest.approx(c_const_for(dist.heavy_tailed(3.0)), rel=0.1)
 
 
 def test_default_holdout_size_formula():
@@ -61,10 +67,10 @@ def test_zero_one_errors_matches_scalar_loop():
     spec = dist.gaussian(3)
     ds = make_dataset(spec, clean_labels(unit_vector(3, 1)), 5000, seed=6)
     rng = np.random.default_rng(7)
-    W = rng.standard_normal((10, 3))
+    W = rng.standard_normal((150, 3))  # spans several scoring chunks
     W /= np.linalg.norm(W, axis=1)[:, None]
-    errs = zero_one_errors(W, ds, chunk=3)
-    for i in range(10):
+    errs = zero_one_errors(W, ds)
+    for i in range(150):
         assert errs[i] == estimate_err01(W[i], ds)
 
 
@@ -233,3 +239,8 @@ def test_learner_config_validation():
         LearnerConfig(grid=())
     with pytest.raises(ValueError):
         LearnerConfig(grid=(0.1, -0.2))
+    for bad in (dict(rho=0.0), dict(rho=-1.0), dict(rho=float("nan")), dict(t_cap=0), dict(eval_size=0),
+                dict(candidate_stride=0), dict(holdout_size=0), dict(holdout_size=-5)):
+        with pytest.raises(ValueError):
+            LearnerConfig(**bad)
+    assert LearnerConfig(holdout_size=1).holdout_size == 1

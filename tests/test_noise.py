@@ -12,7 +12,6 @@ from halfspace_sgd.noise import (
     corrupt_labels,
     far_flip,
     make_dataset,
-    random_flip,
 )
 from helpers import apply_noise, halfspace_label
 
@@ -40,8 +39,6 @@ def test_far_flip_parameter_validation():
         far_flip(E2, Z=2.0, theta2=math.pi / 3)
     with pytest.raises(ValueError):
         far_flip(E2, Z=0.0, theta2=0.1)
-    with pytest.raises(ValueError):
-        random_flip(E2, 0.5)
 
 
 def test_tilt_frame_geometry_2d():
@@ -109,16 +106,6 @@ def test_apply_noise_rules():
     clean_y = halfspace_labels(E2, X)
     rows, _ = corrupt_labels(model, X, clean_y)
     assert rows.tolist() == [apply_noise(model, x, y) for x, y in zip(X, clean_y)]
-
-
-def test_apply_noise_random_flip_needs_rng():
-    model = random_flip(E2, 0.2)
-    X = np.ones((20_000, 2))
-    with pytest.raises(ValueError):
-        corrupt_labels(model, X, np.ones(20_000))
-    y, flip = corrupt_labels(model, X, np.ones(20_000), np.random.default_rng(3))
-    np.testing.assert_array_equal(y, np.where(flip, -1.0, 1.0))
-    assert abs(float(np.mean(flip)) - 0.2) < 0.012
 
 
 def test_far_flip_supports_higher_dimensions():

@@ -21,10 +21,7 @@ def test_config_validation():
         PsgdConfig(T=0, sigma=0.1)
     with pytest.raises(ValueError):
         PsgdConfig(T=10, sigma=0.0)
-    with pytest.raises(ValueError):
-        PsgdConfig(T=10, sigma=0.1, beta=-1.0)
     assert PsgdConfig(T=10, sigma=0.2, rho=0.5).step_size == pytest.approx(0.01)
-    assert PsgdConfig(T=10, sigma=0.2, beta=0.003).step_size == 0.003
 
 
 def test_zero_gradient_stream_keeps_e1():
@@ -41,7 +38,7 @@ def test_beta_zero_keeps_e1():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 4))
     y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-    out = _solo(ArrayStream(X, y), PsgdConfig(T=40, sigma=0.3, beta=0.0))
+    out = _solo(ArrayStream(X, y), PsgdConfig(T=40, sigma=0.3, rho=0.0))  # step (sigma rho)^2 = 0
     np.testing.assert_array_equal(out, np.tile(unit_vector(4), (40, 1)))
 
 
@@ -134,12 +131,12 @@ def test_min_grad_iterate_selects_planted_optimum():
 
 
 def test_stationarity_diagnostic_cone():
-    # iterates with small empirical gradient lie near +/- w*: with the recorded
-    # constants the certified cone angle (4 sqrt2 pi U/R) sigma and floor
+    # iterates with small empirical gradient lie near +/- w*: with the
+    # closed-form constants the certified cone angle (4 sqrt2 pi U/R) sigma and floor
     # R^2/(64 U) make this a loose but faithful check; 10 seeds, 1 failure allowed
     spec = dist.gaussian(2)
     w_star = unit_vector(2, 1)
-    p = dist.well_behaved_params("gaussian")
+    p = dist.well_behaved_params(spec)
     sigma = 0.01
     theta = 4.0 * math.sqrt(2.0) * math.pi * p.U / p.R * sigma
     floor = p.R**2 / (64.0 * p.U)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import rotate2d, unit_vector
@@ -159,6 +160,26 @@ def test_region_split_adds_up_and_has_proof_sign_structure():
         t_hat = transverse_axis(w, model)
         assert float(split["Sc"] @ t_hat) <= 1e-9
         assert float(split["S"] @ t_hat) <= 1e-9
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["logistic", "hinge"]),
+       family=st.sampled_from(["gaussian", "logconcave", "heavy_tailed"]),
+       opt=st.sampled_from([0.01, 0.05]),
+       alpha=st.floats(-math.pi, math.pi),
+       offset=st.floats(-math.pi, math.pi),
+       rho=st.floats(0.5, 3.0))
+def test_gradient_rotates_with_w_and_wstar(kind, family, opt, alpha, offset, rho):
+    # radial symmetry: rotating w and w* (and so the whole far-flip
+    # construction) by alpha rotates the population gradient by alpha
+    loss = convex_surrogate(kind)
+    spec = dist.DistributionSpec(family, 2, 3.0 if family == "heavy_tailed" else None)
+    model, Z, theta = _standard_model(spec, opt)
+    w = rho * rotate2d(E2, offset)
+    g, err, _ = convex_population_grad(loss, w, spec, model)
+    rotated = far_flip(rotate2d(E2, alpha), Z=Z, theta2=2.0 * theta)
+    g_rot, err_rot, _ = convex_population_grad(loss, rotate2d(w, alpha), spec, rotated)
+    assert float(np.linalg.norm(g_rot - rotate2d(g, alpha))) <= err + err_rot
 
 
 def test_gradient_stable_under_finer_initial_panels():
