@@ -23,7 +23,7 @@ from .distributions import (
 from .losses import ConvexSurrogate, convex_surrogate, sigmoid
 from .noise import LabeledDataset, NoiseModel, clean_labels, far_flip, make_dataset
 from .optimizer import PsgdConfig
-from .learner import LearnerConfig, TrialReport, estimate_err01, learn
+from .learner import LearnerConfig, TrialReport, learn
 from .oracle import (
     ConeScanReport,
     QuadratureSpec,

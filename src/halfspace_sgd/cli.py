@@ -181,7 +181,9 @@ _SWEEP_HEADER = [
 ]
 
 
-def _learn_groups(cfg, seeds, timing: bool, per_sigma_rows: bool) -> list[tuple]:
+def _learn_groups(cfg) -> tuple:
+    """(spec, LearnerConfig, groups) for learn/sweep: one (noise model, opt)
+    group per opt."""
     spec = _make_spec(cfg["family"], cfg["d"], cfg["s"])
     w_star = unit_vector(spec.dim, 1)
     lc = LearnerConfig(
@@ -194,17 +196,29 @@ def _learn_groups(cfg, seeds, timing: bool, per_sigma_rows: bool) -> list[tuple]
         eval_size=cfg["eval_size"],
         candidate_stride=cfg["stride"],
     )
-    return [
-        (spec, far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=cfg["theta2"]), lc, opt,
-         seeds, timing, per_sigma_rows)
-        for opt in cfg["opt_list"]
-    ]
+    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=cfg["theta2"]), opt)
+              for opt in cfg["opt_list"]]
+    return spec, lc, groups
 
 
-def _learn_group(args) -> list[list]:
-    spec, model, lc, opt, seeds, timing, per_sigma_rows = args
+def _learn_run(spec, lc, groups, seeds, timing: bool, per_sigma_rows: bool,
+               workers: int, header_width: int):
+    """Advance the runs of every group in one lockstep batch, then spread the
+    per-group reports over the workers; a PSGD failure marks every group
+    FAILED."""
+    try:
+        outcomes = learn_batch(spec, groups, lc, seeds, map_groups=partial(_map_groups, workers=workers))
+    except Exception as exc:
+        outcomes = [exc] * len(groups)
+    return _collect(
+        [out if isinstance(out, Exception) else _report_rows(out, timing, per_sigma_rows) for out in outcomes],
+        header_width,
+    )
+
+
+def _report_rows(reports, timing: bool, per_sigma_rows: bool) -> list[list]:
     rows = []
-    for rep in learn_batch(spec, model, lc, seeds, opt_target=opt):
+    for rep in reports:
         if per_sigma_rows:
             for diag in rep.per_sigma:
                 rows.append([
@@ -232,6 +246,8 @@ _COMPARE_HEADER = [
 
 
 def _compare_groups(cfg, seeds) -> list[tuple]:
+    if not 0.0 < cfg["gtol"] < math.inf:
+        raise ValueError("gtol must be finite and > 0")
     spec = _make_spec(cfg["family"], 2, cfg["s"])
     losses = [convex_surrogate(kind) for kind in cfg["losses"]]
     w_star = unit_vector(2, 1)
@@ -262,7 +278,7 @@ def _compare_group(args) -> list[list]:
         w_c, gnorm, _ = full_batch_minimize(loss, conv_ds.x, conv_ds.y, w0=w_star, gtol=gtol)
         convex.append((loss.kind, angle_between(w_c / np.linalg.norm(w_c), w_star), gnorm))
 
-    reports = learn_batch(spec, model, lc, seeds, opt_target=opt)
+    reports = learn_batch(spec, [(model, opt)], lc, seeds)[0]
     rows = []
     for kind, c_angle, c_gnorm in convex:
         for rep in reports:
@@ -311,45 +327,59 @@ def _lowerbound_group(args) -> list[list]:
 # driver
 # ---------------------------------------------------------------------------
 
-def _run_groups(groups, worker, workers: int, header_width: int):
-    """Run work groups, keeping config order; at most min(workers, groups,
-    cpu count) processes, and none beyond this one when that is 1.
-
-    A group that raises contributes one FAILED marker row instead of
-    aborting the harness; returns (rows, any_failure).
-    """
-    rows: list[list] = []
-    failed = False
+def _map_groups(fn, groups, workers: int) -> list:
+    """[fn(g) for g in groups] in config order, over at most min(workers,
+    groups, cpu count) processes and none beyond this one when that is 1; a
+    group that raises gives its exception in place of its result."""
     n = min(workers, len(groups), os.cpu_count() or 1)
+    results = []
     with ProcessPoolExecutor(max_workers=n) if n > 1 else contextlib.nullcontext() as pool:
-        calls = [pool.submit(worker, g).result if pool else partial(worker, g) for g in groups]
+        calls = [pool.submit(fn, g).result if pool else partial(fn, g) for g in groups]
         for call in calls:
             try:
-                rows.extend(call())
+                results.append(call())
             except Exception as exc:
-                print(f"halfspace-bench: group failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-                rows.append(_failure_row(header_width, f"{type(exc).__name__}: {exc}"))
-                failed = True
+                results.append(exc)
+    return results
+
+
+def _collect(outcomes, header_width: int):
+    """(rows, any_failure) from per-group row lists; a group's exception
+    becomes one FAILED marker row instead of aborting the harness."""
+    rows: list[list] = []
+    failed = False
+    for out in outcomes:
+        if isinstance(out, Exception):
+            print(f"halfspace-bench: group failed: {type(out).__name__}: {out}", file=sys.stderr)
+            rows.append(_failure_row(header_width, f"{type(out).__name__}: {out}"))
+            failed = True
+        else:
+            rows.extend(out)
     return rows, failed
 
 
+def _run_groups(groups, worker, workers: int, header_width: int):
+    """Run one worker per group (see _map_groups); returns (rows, any_failure)."""
+    return _collect(_map_groups(worker, groups, workers), header_width)
+
+
 def _build_groups(command: str, cfg: dict, timing: bool):
-    """(CSV header, worker, groups) for a command; every spec, noise model,
-    LearnerConfig and scan input is built here, so a bad value raises
-    ValueError before any group runs."""
+    """(CSV header, run) for a command, with run(workers, header_width) ->
+    (rows, any_failure); every spec, noise model, LearnerConfig and scan input
+    is built here, so a bad value raises ValueError before any group runs."""
     if command == "lowerbound":
         if not cfg["families"] or not cfg["losses"]:
             raise ValueError("families and losses must be nonempty")
-        return _LOWERBOUND_HEADER, _lowerbound_group, _lowerbound_groups(cfg)
+        return _LOWERBOUND_HEADER, partial(_run_groups, _lowerbound_groups(cfg), _lowerbound_group)
     if not cfg["opt_list"]:
         raise ValueError("opt_list must be nonempty")
     if any(not 0.0 < o < 0.5 for o in cfg["opt_list"]):
         raise ValueError("opt_list values must lie in (0, 1/2)")
     seeds = [cfg["seed_base"] + j for j in range(cfg["seeds"])]
     if command == "compare":
-        return _COMPARE_HEADER, _compare_group, _compare_groups(cfg, seeds)
+        return _COMPARE_HEADER, partial(_run_groups, _compare_groups(cfg, seeds), _compare_group)
     header = _SWEEP_HEADER if command == "sweep" else _LEARN_HEADER
-    return header, _learn_group, _learn_groups(cfg, seeds, timing, command == "sweep")
+    return header, partial(_learn_run, *_learn_groups(cfg), seeds, timing, command == "sweep")
 
 
 def main(argv=None) -> int:
@@ -375,14 +405,14 @@ def main(argv=None) -> int:
             if key in cfg and cfg[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
         try:
-            header, worker, groups = _build_groups(args.command, cfg, args.timing)
+            header, run = _build_groups(args.command, cfg, args.timing)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     except ConfigError as exc:
         print(f"halfspace-bench: config error: {exc}", file=sys.stderr)
         return 2
 
-    rows, failed = _run_groups(groups, worker, args.workers, len(header))
+    rows, failed = run(args.workers, len(header))
 
     if args.command == "lowerbound":
         failed = failed or any(not bool(row[-1]) or row[0] == "FAILED" for row in rows)

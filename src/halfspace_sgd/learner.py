@@ -3,10 +3,12 @@ lists, zero-one holdout selection, final hypothesis and report.
 
 A grid of surrogate widths is swept (the analysis pairs each unknown noise
 level opt with a width sigma ~ opt/C; sweeping removes the need to know opt).
-Each width gets its own fresh training stream and a full PSGD pass; a strided
-subsample of every iterate list is scored on a noisy holdout by zero-one
-error and the overall argmin wins, ties broken by grid order then iterate
-order. The reported error comes from a disjoint evaluation set.
+Each width gets its own fresh training stream and a full PSGD pass; the runs
+of every (noise model, seed, width) of a learn_batch call advance together in
+one lockstep batch. A strided subsample of every iterate list is scored on a
+noisy holdout by zero-one error, all of a trial's lists in one call, and the
+overall argmin wins, ties broken by grid order then iterate order. The
+reported error comes from a disjoint evaluation set.
 
 The analysis constant C = R^4/(2^15 U^3), from the (U, R) of the marginal
 (distributions.well_behaved_params), is below 1e-7 for the stock families
@@ -26,18 +28,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dist
-from .geometry import angle_between, halfspace_labels
+from .geometry import angle_between
 from .noise import NoiseModel, make_dataset
 from .optimizer import NoisyExampleStream, PsgdConfig, batch_grad_norms, psgd_lockstep
 
 __all__ = [
     "LearnerConfig",
-    "CandidateList",
     "TrialReport",
     "SigmaDiagnostic",
     "c_const_for",
     "default_holdout_size",
-    "estimate_err01",
     "zero_one_errors",
     "learn",
     "learn_batch",
@@ -46,7 +46,8 @@ __all__ = [
 
 DEFAULT_GRID = (0.32, 0.16, 0.08, 0.04, 0.02)
 _GRAD_DIAG_BATCH = 2_000  # holdout examples behind each per-width gradient-norm diagnostic
-_SCORE_CHUNK = 64         # candidates per matmul when scoring in d > 2
+_SCORE_ROWS = 2_048       # examples per scoring block in d > 2
+_SCORE_COLS = 256         # candidates per scoring block: a block's scores take 4 MB
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -92,42 +93,31 @@ def default_holdout_size(d: int, epsilon: float, delta: float) -> int:
     return max(10_000, 2 * math.ceil(math.log(d / (epsilon * delta)) / epsilon**2))
 
 
-@dataclass
-class CandidateList:
-    """All iterates of one PSGD pass at a fixed width."""
-
-    sigma: float
-    vectors: np.ndarray  # (m, d) unit rows
-
-    def __post_init__(self):
-        if self.vectors.ndim != 2 or self.vectors.shape[0] == 0:
-            raise ValueError("candidate list must be a nonempty (m, d) array")
-
-
-def estimate_err01(w, dataset) -> float:
-    """Fraction of examples with sign(<w, x>) != y."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    return float(np.mean(halfspace_labels(w, dataset.x) != dataset.y))
-
-
 def zero_one_errors(W: np.ndarray, dataset) -> np.ndarray:
     """Zero-one error of every row of W on the dataset.
 
     In 2D each example misclassifies exactly a half-circle of candidate
     directions, so all errors follow from circular-interval counting over the
-    example angles in O((n + m) log n); higher dimensions use a chunked
-    matmul.
+    example angles in O((n + m) log n); higher dimensions use blocked
+    matmuls.
     """
     if dataset.x.shape[1] == 2:
         return _zero_one_errors_2d(W, dataset)
-    n = len(dataset)
-    X, y = dataset.x, dataset.y
-    out = np.empty(W.shape[0])
-    for lo in range(0, W.shape[0], _SCORE_CHUNK):
-        scores = X @ W[lo : lo + _SCORE_CHUNK].T
-        out[lo : lo + _SCORE_CHUNK] = np.mean((scores >= 0.0) != (y[:, None] > 0.0), axis=0)
-    return out
+    return _zero_one_errors_blocked(W, dataset)
+
+
+def _zero_one_errors_blocked(W: np.ndarray, dataset) -> np.ndarray:
+    """Any dimension: split the examples by label once, then count
+    <w, x> < 0 on the positives and <w, x> >= 0 on the negatives, one block of
+    at most _SCORE_ROWS examples x _SCORE_COLS candidates at a time."""
+    pos = dataset.y > 0.0
+    wrong = np.zeros(W.shape[0], dtype=np.int64)
+    for X, misses in ((dataset.x[pos], np.less), (dataset.x[~pos], np.greater_equal)):
+        for lo in range(0, X.shape[0], _SCORE_ROWS):
+            for c in range(0, W.shape[0], _SCORE_COLS):
+                scores = X[lo : lo + _SCORE_ROWS] @ W[c : c + _SCORE_COLS].T
+                wrong[c : c + _SCORE_COLS] += np.count_nonzero(misses(scores, 0.0), axis=0)
+    return wrong / len(dataset)
 
 
 def _zero_one_errors_2d(W: np.ndarray, dataset) -> np.ndarray:
@@ -192,62 +182,74 @@ class TrialReport:
 def learn(spec, model: NoiseModel, config: LearnerConfig, seed: int,
           opt_target: float = float("nan")) -> TrialReport:
     """Grid sweep -> per-sigma candidates -> holdout selection -> report."""
-    return learn_batch(spec, model, config, [seed], opt_target)[0]
+    return learn_batch(spec, [(model, opt_target)], config, [seed])[0][0]
 
 
-def learn_batch(spec, model: NoiseModel, config: LearnerConfig, seeds,
-                opt_target: float = float("nan")) -> list[TrialReport]:
-    """learn() for many seeds with all (seed, sigma) runs advanced in one
-    lockstep batch; row-local arithmetic makes each report identical to its
-    solo learn() (wall_ms aside).
+def learn_batch(spec, groups, config: LearnerConfig, seeds, map_groups=map) -> list:
+    """learn() for every (noise model, opt_target) pair in `groups` and every
+    seed, with all (group, seed, sigma) runs advanced in one lockstep batch
+    (each stream carries its own noise model); row-local arithmetic makes each
+    report identical to its solo learn() (wall_ms aside).
 
-    wall_ms is per trial: an equal share of the lockstep time plus the time
-    of the trial's own selection and evaluation.
+    The report phase (holdout scoring, selection, evaluation) runs per group
+    as map_groups(fn, jobs), the builtin map by default; the CLI passes one
+    that spreads the groups over worker processes and puts a failing group's
+    exception in its place. Returns one entry per group: its list of
+    TrialReports, one per seed.
+
+    wall_ms is per trial: an equal share of the batch's lockstep time plus
+    the time of the trial's own selection and evaluation.
     """
     t0 = time.perf_counter()
-    seeds = list(seeds)
-    g = len(config.grid)
-    streams = [NoisyExampleStream(spec, model, derive_seed(seed, 1, i)) for seed in seeds for i in range(g)]
-    configs = [PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho) for _ in seeds for s in config.grid]
+    groups, seeds = list(groups), list(seeds)
+    g, trials = len(config.grid), len(groups) * len(seeds)
+    streams = [NoisyExampleStream(spec, model, derive_seed(seed, 1, i))
+               for model, _ in groups for seed in seeds for i in range(g)]
+    configs = [PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho) for s in config.grid] * trials
     out = psgd_lockstep(streams, configs, keep_every=config.candidate_stride)
-    shared_s = (time.perf_counter() - t0) / len(seeds)
-    reports = []
-    for si, seed in enumerate(seeds):
-        candidates = [CandidateList(s, out.kept[si * g + i]) for i, s in enumerate(config.grid)]
-        reports.append(_trial_report(spec, model, config, seed, opt_target, candidates, shared_s))
-    return reports
+    shared_s = (time.perf_counter() - t0) / trials
+    kept = out.kept.reshape(len(groups), len(seeds), g, *out.kept.shape[1:])
+    jobs = [(spec, model, config, seeds, opt, kept[j], shared_s) for j, (model, opt) in enumerate(groups)]
+    return list(map_groups(_group_reports, jobs))
+
+
+def _group_reports(job) -> list[TrialReport]:
+    spec, model, config, seeds, opt_target, kept, shared_s = job
+    return [_trial_report(spec, model, config, seed, opt_target, kept[si], shared_s)
+            for si, seed in enumerate(seeds)]
 
 
 def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
-                  opt_target: float, candidates: list[CandidateList], shared_s: float) -> TrialReport:
+                  opt_target: float, kept: np.ndarray, shared_s: float) -> TrialReport:
+    """kept is (grid widths, iterates, d): each width's strided iterate list."""
     t0 = time.perf_counter()
     n_hold = config.holdout_size
     if n_hold is None:
         n_hold = default_holdout_size(spec.dim, config.epsilon, config.delta)
     holdout = make_dataset(spec, model, n_hold, derive_seed(seed, 2))
     eval_ds = make_dataset(spec, model, config.eval_size, derive_seed(seed, 3))
-    per_list_errs = [zero_one_errors(cl.vectors, holdout) for cl in candidates]
+    errs = zero_one_errors(kept.reshape(-1, spec.dim), holdout).reshape(kept.shape[:2])
 
     per_sigma = []
     diag_batch = min(_GRAD_DIAG_BATCH, n_hold)
-    for cl, errs in zip(candidates, per_list_errs):
-        ii = int(np.argmin(errs))
-        grad_norms = batch_grad_norms(cl.vectors[:: max(1, len(cl.vectors) // 50)], holdout, cl.sigma, diag_batch)
-        min_grad = float(np.min(grad_norms))
+    diag_stride = max(1, kept.shape[1] // 50)
+    for sigma, vectors, width_errs in zip(config.grid, kept, errs):
+        ii = int(np.argmin(width_errs))
+        min_grad = float(np.min(batch_grad_norms(vectors[::diag_stride], holdout, sigma, diag_batch)))
         per_sigma.append(
             SigmaDiagnostic(
-                sigma=cl.sigma,
+                sigma=sigma,
                 T=config.t_cap,
-                beta=PsgdConfig(T=config.t_cap, sigma=cl.sigma, rho=config.rho).step_size,
-                best_holdout_err=float(errs[ii]),
-                angle_best=angle_between(cl.vectors[ii], model.w_star),
+                beta=PsgdConfig(T=config.t_cap, sigma=sigma, rho=config.rho).step_size,
+                best_holdout_err=float(width_errs[ii]),
+                angle_best=angle_between(vectors[ii], model.w_star),
                 min_grad_norm=min_grad,
                 reached_rho=min_grad <= config.rho,
             )
         )
-    li, ii = _select(per_list_errs)
-    best = candidates[li]
-    w = best.vectors[ii]
+    li, ii = _select(errs)
+    sigma_best = config.grid[li]
+    w = kept[li, ii]
 
     c_const = c_const_for(spec)
     return TrialReport(
@@ -256,11 +258,11 @@ def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
         d=spec.dim,
         opt_target=float(opt_target),
         measured_noise_rate=eval_ds.noise_rate,
-        sigma_best=best.sigma,
-        err01=estimate_err01(w, eval_ds),
+        sigma_best=sigma_best,
+        err01=float(_zero_one_errors_blocked(w[None, :], eval_ds)[0]),
         angle_to_wstar=angle_between(w, model.w_star),
         T_used=config.t_cap,
-        beta=PsgdConfig(T=config.t_cap, sigma=best.sigma, rho=config.rho).step_size,
+        beta=PsgdConfig(T=config.t_cap, sigma=sigma_best, rho=config.rho).step_size,
         wall_ms=(shared_s + time.perf_counter() - t0) * 1e3,
         c_const=c_const,
         holdout_size=n_hold,

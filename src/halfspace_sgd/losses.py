@@ -52,29 +52,33 @@ def sigmoid(t, sigma: float = 1.0):
 
 
 def sigmoid_slope(t, sigma: float = 1.0):
-    """d/dt sigmoid(t, sigma), computed as S(1-S)/sigma (no overflow)."""
-    s = sigmoid(t, sigma)
-    return s * (1.0 - s) / sigma
+    """d/dt sigmoid(t, sigma) = e / (sigma (1 + e)^2) with e = exp(-|t|/sigma).
+
+    Even in t, no sign masks, and no overflow at any finite t/sigma. sigma is
+    a scalar or broadcasts against t; it is not checked here (this runs once
+    per PSGD step), so callers pass validated widths (PsgdConfig,
+    LearnerConfig).
+    """
+    e = np.exp(-np.abs(t) / sigma)
+    return e / (sigma * (1.0 + e) ** 2)
 
 
 def surrogate_grad_rows(W, X, y, sigma: float) -> np.ndarray:
     """Gradient in w of the sigmoid surrogate S_sigma(-y <w,x> / ||w||), one
     per row (W[i], X[i], y[i]).
 
-    With h(w, x) = <w,x>/||w|| and grad h = x/||w|| - <w,x> w/||w||^3, the
-    gradient is S'_sigma(-y h) * (-y) * grad h; for unit-norm w it is
-    orthogonal to w. W and X are (k, d); y is (k,); sigma is a scalar or one
-    width per row. Used by the optimizer, where every step pairs the current
-    iterate with one fresh example.
+    With h = <w,x>/||w|| the gradient is -y S'_sigma(h)/||w|| * (x - (h/||w||) w)
+    (S' is even); for unit-norm w it is orthogonal to w. W and X are (k, d);
+    y is (k,); sigma is a scalar or one width per row. Row-local: row i does
+    not depend on the other rows. Used by the optimizer, where every step
+    pairs the current iterate with one fresh example.
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    norms = np.sqrt(np.sum(W * W, axis=1))
-    dots = np.sum(W * X, axis=1)
-    grad_h = X / norms[:, None] - (dots / norms**3)[:, None] * W
-    slope = sigmoid_slope(-y * dots / norms, sigma)
-    return (-y * slope)[:, None] * grad_h
+    norms = np.sqrt(np.einsum("ij,ij->i", W, W))
+    h = np.einsum("ij,ij->i", W, X) / norms
+    coef = -np.asarray(y, dtype=float) * sigmoid_slope(h, sigma) / norms
+    return coef[:, None] * (X - (h / norms)[:, None] * W)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ epochs), takes a plain gradient step on the sigmoid surrogate and projects
 back to the sphere. psgd_lockstep advances many independent runs at once and
 keeps a strided subset of their iterates; row i of a batch is bit-identical
 to the same run advanced alone (a batch of one) because every operation is
-row-local.
+row-local. Each step is one surrogate_grad_rows call over the batch and one
+row-norm rescale. batch_grad_norms gives the empirical gradient norm at many
+iterates from two matmuls.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import unit_vector
-from .losses import surrogate_grad_rows
+from .losses import sigmoid_slope, surrogate_grad_rows
 
 __all__ = [
     "PsgdConfig",
@@ -107,9 +109,8 @@ def psgd_lockstep(streams, config, keep_every: int = 1) -> LockstepResult:
             W = np.tile(unit_vector(d), (k, 1))
             kept = np.empty((k, len(kept_steps), d))
         for j in range(take):
-            G = surrogate_grad_rows(W, Xc[j], yc[j], sigma)
-            V = W - beta * G
-            W = V / np.sqrt(np.sum(V * V, axis=1))[:, None]
+            V = W - beta * surrogate_grad_rows(W, Xc[j], yc[j], sigma)
+            W = V / np.sqrt(np.einsum("ij,ij->i", V, V))[:, None]
             step += 1
             idx = keep_set.get(step)
             if idx is not None:
@@ -119,17 +120,22 @@ def psgd_lockstep(streams, config, keep_every: int = 1) -> LockstepResult:
 
 def batch_grad_norms(iterates: np.ndarray, dataset, sigma: float, batch: int) -> np.ndarray:
     """Empirical surrogate-gradient norm at each iterate, from the first
-    `batch` examples of the dataset (deterministic given the dataset)."""
+    `batch` examples of the dataset (deterministic given the dataset).
+
+    All iterates at once, by two matmuls: with H = X W^T / ||w|| (normalized
+    margins, n x m) and C = -y S'(H) / ||w||, the mean gradients are
+    (C^T X - colsum(C * H) w / ||w||) / n, the mean of surrogate_grad_rows
+    over the batch for each iterate w.
+    """
     if batch < 1:
         raise ValueError("batch must be >= 1")
     X = dataset.x[:batch]
     y = dataset.y[:batch]
-    norms = np.empty(iterates.shape[0])
-    for i, w in enumerate(iterates):
-        W = np.broadcast_to(w, (X.shape[0], w.shape[0]))
-        g = surrogate_grad_rows(W, X, y, sigma).mean(axis=0)
-        norms[i] = float(np.linalg.norm(g))
-    return norms
+    norms = np.linalg.norm(iterates, axis=1)
+    H = (X @ iterates.T) / norms
+    C = -y[:, None] * sigmoid_slope(H, sigma) / norms
+    G = C.T @ X - (np.einsum("ij,ij->j", C, H) / norms)[:, None] * iterates
+    return np.linalg.norm(G, axis=1) / X.shape[0]
 
 
 class NoisyExampleStream:

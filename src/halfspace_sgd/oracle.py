@@ -62,6 +62,10 @@ class QuadratureSpec:
     tol: float = 1e-9
     max_doublings: int = 12
 
+    def __post_init__(self):
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
+
 
 @dataclass
 class ConeScanReport:

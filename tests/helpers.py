@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from halfspace_sgd import distributions as dist
-from halfspace_sgd.geometry import rotate2d
+from halfspace_sgd.geometry import halfspace_labels, rotate2d
 from halfspace_sgd.losses import sigmoid, surrogate_grad_rows
 from halfspace_sgd.quadrature import integrate_refining
 
@@ -59,6 +59,27 @@ def surrogate_grad_sample(w, x, y, sigma: float) -> np.ndarray:
     if float(np.sum(w * w)) == 0.0:
         raise ValueError("weight vector must be nonzero")
     return surrogate_grad_rows(w[None, :], x[None, :], np.array([float(y)]), sigma)[0]
+
+
+def estimate_err01(w, dataset) -> float:
+    """Fraction of examples with sign(<w, x>) != y: one candidate at a time,
+    the oracle for learner.zero_one_errors."""
+    if len(dataset) == 0:
+        raise ValueError("empty dataset")
+    return float(np.mean(halfspace_labels(w, dataset.x) != dataset.y))
+
+
+def loop_grad_norms(iterates, dataset, sigma: float, batch: int) -> np.ndarray:
+    """Empirical surrogate-gradient norm at each iterate, one
+    surrogate_grad_rows call per iterate over the first `batch` examples; the
+    reference for optimizer.batch_grad_norms."""
+    X = dataset.x[:batch]
+    y = dataset.y[:batch]
+    norms = np.empty(iterates.shape[0])
+    for i, w in enumerate(iterates):
+        W = np.broadcast_to(w, (X.shape[0], w.shape[0]))
+        norms[i] = float(np.linalg.norm(surrogate_grad_rows(W, X, y, sigma).mean(axis=0)))
+    return norms
 
 
 class ArrayStream:

@@ -141,9 +141,8 @@ def test_c5_upper_bound_scaling():
     config = LearnerConfig(epsilon=0.01, delta=0.01, t_cap=200_000)
     medians = []
     start = time.perf_counter()
-    for opt in opts:
-        model = far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8)
-        reports = learn_batch(spec, model, config, seeds=[5000 + j for j in range(10)], opt_target=opt)
+    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt) for opt in opts]
+    for reports in learn_batch(spec, groups, config, seeds=[5000 + j for j in range(10)]):
         medians.append(float(np.median([r.err01 for r in reports])))
     elapsed = time.perf_counter() - start
     assert all(a <= b + 1e-12 for a, b in zip(medians, medians[1:])), medians
@@ -195,7 +194,7 @@ def _compare_cell(spec, opt, seeds, grid, t_cap, holdout_k=2000.0, holdout_cap=2
         eval_size=200_000,
         candidate_stride=250,
     )
-    reports = learn_batch(spec, model, config, seeds, opt_target=opt)
+    reports = learn_batch(spec, [(model, opt)], config, seeds)[0]
     sigmoid_angle = float(np.median([r.angle_to_wstar for r in reports]))
     return sigmoid_angle, convex_angle
 

@@ -114,10 +114,14 @@ def test_malformed_line_exits_2(tmp_path):
     ("compare", TINY_COMPARE + "holdout_k = 0\n", [], "holdout_size must be >= 1"),
     ("lowerbound", TINY_LOWERBOUND + "grid_points = 0\n", [], "grid_points must be >= 1"),
     ("lowerbound", TINY_LOWERBOUND + "opt = 0\n", [], "tail mass"),
+    ("lowerbound", TINY_LOWERBOUND + "tol = 0\n", [], "tol must be finite and > 0"),
+    ("lowerbound", TINY_LOWERBOUND + "tol = nan\n", [], "tol must be finite and > 0"),
+    ("compare", TINY_COMPARE + "gtol = -1\n", [], "gtol must be finite and > 0"),
+    ("compare", TINY_COMPARE + "gtol = nan\n", [], "gtol must be finite and > 0"),
 ], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2",
         "squared-hinge-heavy", "d-1", "stride-0", "t_cap-0", "eval_size-0", "holdout_size-neg",
         "grid-neg", "theta2-1", "epsilon-2", "rho-neg", "rho-0", "conv_n-0", "holdout_k-0",
-        "grid_points-0", "opt-0"])
+        "grid_points-0", "opt-0", "tol-0", "tol-nan", "gtol-neg", "gtol-nan"])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flags, needle):
     out = tmp_path / "o.csv"
     cfg = _write(tmp_path / "c.txt", text)
@@ -165,6 +169,30 @@ def test_run_groups_caps_workers_and_marks_failures(monkeypatch):
         assert [r[0] for r in rows] == [0, "FAILED", 2, 3, 4][:n_groups]
         if n_groups > 1:
             assert rows[1] == ["FAILED", "RuntimeError: boom"]
+
+
+def test_learn_failures_mark_their_groups(tmp_path, monkeypatch):
+    from halfspace_sgd import learner
+
+    cfg = _write(tmp_path / "c.txt", TINY_LEARN.replace("opt_list = 0.02", "opt_list = 0.02, 0.05"))
+    report = learner._group_reports
+
+    def report_fails_at_005(job):
+        if job[4] == 0.05:
+            raise RuntimeError("report boom")
+        return report(job)
+
+    monkeypatch.setattr(learner, "_group_reports", report_fails_at_005)
+    out = tmp_path / "r.csv"
+    assert main(["learn", "--config", cfg, "--out", str(out)]) == 1
+    assert [r[0] for r in _rows(out)[1:]] == ["50", "51", "FAILED"]
+
+    def psgd_fails(*args, **kwargs):
+        raise RuntimeError("psgd boom")
+
+    monkeypatch.setattr(learner, "psgd_lockstep", psgd_fails)
+    assert main(["learn", "--config", cfg, "--out", str(out)]) == 1
+    assert [r[:2] for r in _rows(out)[1:]] == [["FAILED", "RuntimeError: psgd boom"]] * 2
 
 
 @pytest.mark.parametrize("line", ["family = heavy_tailed", "d = 7", "seeds = 4", "seed_base = 3"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -14,13 +15,13 @@ from halfspace_sgd.learner import (
     c_const_for,
     default_holdout_size,
     derive_seed,
-    estimate_err01,
     learn,
     learn_batch,
     zero_one_errors,
 )
 from halfspace_sgd.noise import LabeledDataset, clean_labels, far_flip, make_dataset
 from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, psgd_lockstep
+from helpers import estimate_err01
 
 
 def _select_w(lists, holdout):
@@ -55,6 +56,8 @@ def test_estimate_err01_reference_cases():
     perp = unit_vector(3, 2)
     se = math.sqrt(0.25 / 100_000)
     assert abs(estimate_err01(perp, ds) - 0.5) <= 4.0 * se
+    W = np.vstack([w_star, -w_star, perp])
+    assert zero_one_errors(W, ds).tolist() == [estimate_err01(w, ds) for w in W]
     # nonempty guard: build an empty dataset directly
     from halfspace_sgd.noise import LabeledDataset
 
@@ -67,10 +70,10 @@ def test_zero_one_errors_matches_scalar_loop():
     spec = dist.gaussian(3)
     ds = make_dataset(spec, clean_labels(unit_vector(3, 1)), 5000, seed=6)
     rng = np.random.default_rng(7)
-    W = rng.standard_normal((150, 3))  # spans several scoring chunks
+    W = rng.standard_normal((600, 3))  # spans several candidate blocks
     W /= np.linalg.norm(W, axis=1)[:, None]
     errs = zero_one_errors(W, ds)
-    for i in range(150):
+    for i in range(600):
         assert errs[i] == estimate_err01(W[i], ds)
 
 
@@ -158,7 +161,7 @@ def test_learn_batch_matches_solo_learn():
     cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, holdout_size=10_000, eval_size=10_000,
                         candidate_stride=100)
     seeds = [5, 6, 7]
-    batch = learn_batch(spec, model, cfg, seeds, opt_target=0.02)
+    batch = learn_batch(spec, [(model, 0.02)], cfg, seeds)[0]
     for seed, rb in zip(seeds, batch):
         solo = learn(spec, model, cfg, seed, opt_target=0.02)
         assert rb.sigma_best == solo.sigma_best
@@ -169,13 +172,37 @@ def test_learn_batch_matches_solo_learn():
             assert ds_b.min_grad_norm == ds_s.min_grad_norm
 
 
+def test_multi_group_batch_matches_solo_group():
+    # every (group, seed, sigma) row shares one lockstep batch; each group's
+    # reports equal those of the group run alone, bit for bit (wall_ms aside)
+    spec = dist.gaussian(3)
+    w_star = unit_vector(3, 1)
+    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt)
+              for opt in (0.02, 0.05)]
+    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, holdout_size=10_000, eval_size=10_000,
+                        candidate_stride=100)
+    seeds = [5, 6]
+
+    def fields(report):
+        out = dataclasses.asdict(report)
+        del out["wall_ms"]
+        return out
+
+    batch = learn_batch(spec, groups, cfg, seeds)
+    assert len(batch) == len(groups)
+    for group, reports in zip(groups, batch):
+        solo = learn_batch(spec, [group], cfg, seeds)[0]
+        assert [fields(r) for r in reports] == [fields(r) for r in solo]
+    assert [r.opt_target for r in batch[1]] == [0.05, 0.05]
+
+
 def test_wall_ms_is_per_trial():
     spec = dist.gaussian(3)
     model = clean_labels(unit_vector(3, 1))
     cfg = LearnerConfig(grid=(0.2, 0.1), t_cap=2000, holdout_size=10_000, eval_size=10_000,
                         candidate_stride=100)
     t0 = time.perf_counter()
-    reports = learn_batch(spec, model, cfg, [1, 2, 3])
+    reports = learn_batch(spec, [(model, float("nan"))], cfg, [1, 2, 3])[0]
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     assert all(r.wall_ms > 0.0 for r in reports)
     assert sum(r.wall_ms for r in reports) <= elapsed_ms
@@ -187,7 +214,7 @@ def test_learn_clean_reaches_low_error():
     model = clean_labels(unit_vector(5, 1))
     cfg = LearnerConfig(epsilon=0.02, grid=(0.2, 0.1, 0.05), t_cap=30_000,
                         holdout_size=30_000, eval_size=50_000, candidate_stride=100)
-    reports = learn_batch(spec, model, cfg, seeds=range(10))
+    reports = learn_batch(spec, [(model, float("nan"))], cfg, seeds=range(10))[0]
     med = float(np.median([r.err01 for r in reports]))
     assert med <= 0.03
 
@@ -199,7 +226,7 @@ def test_learn_far_flip_error_tracks_opt():
     model = far_flip(unit_vector(10, 1), Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8)
     cfg = LearnerConfig(epsilon=0.01, grid=(0.16, 0.08, 0.04), t_cap=50_000,
                         holdout_size=50_000, eval_size=100_000, candidate_stride=200)
-    reports = learn_batch(spec, model, cfg, seeds=range(10), opt_target=opt)
+    reports = learn_batch(spec, [(model, opt)], cfg, seeds=range(10))[0]
     med = float(np.median([r.err01 for r in reports]))
     assert med <= 4 * opt + cfg.epsilon
 

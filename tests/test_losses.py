@@ -68,6 +68,21 @@ def test_sigmoid_slope_matches_difference_quotient():
         np.testing.assert_allclose(sigmoid_slope(t, sigma), fd, rtol=1e-7, atol=2e-10)
 
 
+def test_slope_and_gradient_finite_at_extreme_margins():
+    # e = exp(-|t|/sigma) only underflows, so nothing overflows or turns NaN
+    with np.errstate(over="raise", invalid="raise"):
+        for sigma in (1e-3, 0.015, 1.0):
+            t = np.array([-1e300, -1e9, -700.0, 0.0, 700.0, 1e9, 1e300]) * sigma
+            slope = sigmoid_slope(t, sigma)
+            assert np.all(np.isfinite(slope)) and np.all(slope >= 0.0)
+            np.testing.assert_array_equal(slope, slope[::-1])  # even in t
+            assert slope[3] == 0.25 / sigma
+        W = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, 1.0]])
+        X = np.array([[1e298, 1.0], [-3e297, 5e297], [2.0, -1e298]])
+        G = surrogate_grad_rows(W, X, np.array([1.0, -1.0, 1.0]), 0.01)
+        assert np.all(np.isfinite(G))
+
+
 def test_surrogate_loss_boundary_and_scaling():
     w = np.array([1.0, 0.0])
     x = np.array([0.0, 3.0])  # margin 0

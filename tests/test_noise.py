@@ -5,7 +5,6 @@ import pytest
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import angle_between, halfspace_labels, rotate2d, unit_vector
-from halfspace_sgd.learner import estimate_err01
 from halfspace_sgd.noise import (
     _memberships,
     clean_labels,
@@ -13,7 +12,7 @@ from halfspace_sgd.noise import (
     far_flip,
     make_dataset,
 )
-from helpers import apply_noise, halfspace_label
+from helpers import apply_noise, estimate_err01, halfspace_label
 
 E2 = unit_vector(2, 1)
 

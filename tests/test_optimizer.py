@@ -8,7 +8,7 @@ from halfspace_sgd.geometry import angle_between, unit_vector
 from halfspace_sgd.learner import zero_one_errors
 from halfspace_sgd.noise import clean_labels, far_flip, make_dataset
 from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, batch_grad_norms, psgd_lockstep
-from helpers import ArrayStream
+from helpers import ArrayStream, loop_grad_norms
 
 
 def _solo(stream, config):
@@ -128,6 +128,32 @@ def test_min_grad_iterate_selects_planted_optimum():
     np.testing.assert_array_equal(norms, batch_grad_norms(vectors, dataset, sigma=0.3, batch=20_000))
     with pytest.raises(ValueError):
         batch_grad_norms(vectors, dataset, sigma=0.3, batch=0)
+
+
+def test_batch_grad_norms_match_per_iterate_loop():
+    spec = dist.gaussian(4)
+    dataset = make_dataset(spec, far_flip(unit_vector(4, 1), Z=1.5, theta2=0.4), 3000, seed=11)
+    rng = np.random.default_rng(12)
+    unit = rng.standard_normal((40, 4))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    scaled = unit * rng.uniform(0.2, 5.0, (40, 1))  # the gradient keeps its general-w meaning
+    for vectors in (unit, scaled):
+        for sigma in (0.02, 0.3):
+            np.testing.assert_allclose(batch_grad_norms(vectors, dataset, sigma, 2000),
+                                       loop_grad_norms(vectors, dataset, sigma, 2000), rtol=1e-12, atol=0.0)
+
+
+def test_heavy_tailed_steps_stay_on_sphere():
+    # points of norm ~1e8, some on the boundary of e_1 where the slope peaks
+    X = dist.sample(dist.heavy_tailed(2.5), 200, seed=21)
+    X *= 1e8 / np.linalg.norm(X, axis=1)[:, None]
+    X[::10, 0] = 0.0
+    y = np.where(np.arange(200) % 3 == 0, -1.0, 1.0)
+    with np.errstate(over="raise", invalid="raise"):
+        W = _solo(ArrayStream(X, y), PsgdConfig(T=200, sigma=0.015))
+    assert np.all(np.isfinite(W))
+    np.testing.assert_allclose(np.linalg.norm(W, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    assert not np.array_equal(W[-1], unit_vector(2, 1))
 
 
 def test_stationarity_diagnostic_cone():
