@@ -107,16 +107,14 @@ def zero_one_errors(W: np.ndarray, dataset) -> np.ndarray:
 
 
 def _zero_one_errors_blocked(W: np.ndarray, dataset) -> np.ndarray:
-    """Any dimension: split the examples by label once, then count
-    <w, x> < 0 on the positives and <w, x> >= 0 on the negatives, one block of
-    at most _SCORE_ROWS examples x _SCORE_COLS candidates at a time."""
-    pos = dataset.y > 0.0
+    """Any dimension: count sign(<w, x>) != y (a zero score predicts +1), one
+    block of at most _SCORE_ROWS examples x _SCORE_COLS candidates at a time."""
     wrong = np.zeros(W.shape[0], dtype=np.int64)
-    for X, misses in ((dataset.x[pos], np.less), (dataset.x[~pos], np.greater_equal)):
-        for lo in range(0, X.shape[0], _SCORE_ROWS):
-            for c in range(0, W.shape[0], _SCORE_COLS):
-                scores = X[lo : lo + _SCORE_ROWS] @ W[c : c + _SCORE_COLS].T
-                wrong[c : c + _SCORE_COLS] += np.count_nonzero(misses(scores, 0.0), axis=0)
+    for lo in range(0, len(dataset), _SCORE_ROWS):
+        X = dataset.x[lo : lo + _SCORE_ROWS]
+        pos = (dataset.y[lo : lo + _SCORE_ROWS] > 0.0)[:, None]
+        for c in range(0, W.shape[0], _SCORE_COLS):
+            wrong[c : c + _SCORE_COLS] += np.count_nonzero((X @ W[c : c + _SCORE_COLS].T >= 0.0) != pos, axis=0)
     return wrong / len(dataset)
 
 
@@ -140,13 +138,6 @@ def _zero_one_errors_2d(W: np.ndarray, dataset) -> np.ndarray:
         + wrapped
     )
     return covered / len(dataset)
-
-
-def _select(per_list_errs) -> tuple[int, int]:
-    """(list index, iterate index) of the least holdout error; ties go to the
-    earlier list (grid order), then to the earlier iterate."""
-    li = min(range(len(per_list_errs)), key=lambda i: per_list_errs[i].min())
-    return li, int(np.argmin(per_list_errs[li]))
 
 
 @dataclass
@@ -247,7 +238,7 @@ def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
                 reached_rho=min_grad <= config.rho,
             )
         )
-    li, ii = _select(errs)
+    li, ii = np.unravel_index(int(np.argmin(errs)), errs.shape)  # ties: grid order, then iterate order
     sigma_best = config.grid[li]
     w = kept[li, ii]
 

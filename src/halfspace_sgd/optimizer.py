@@ -129,6 +129,8 @@ def batch_grad_norms(iterates: np.ndarray, dataset, sigma: float, batch: int) ->
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     X = dataset.x[:batch]
     y = dataset.y[:batch]
     norms = np.linalg.norm(iterates, axis=1)

@@ -10,7 +10,7 @@ from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import unit_vector
 from halfspace_sgd.learner import (
     LearnerConfig,
-    _select,
+    _trial_report,
     _zero_one_errors_2d,
     c_const_for,
     default_holdout_size,
@@ -24,10 +24,17 @@ from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, psgd_lockste
 from helpers import estimate_err01
 
 
-def _select_w(lists, holdout):
-    """The vector _select picks from candidate lists scored on holdout."""
-    li, ii = _select([zero_one_errors(v, holdout) for v in lists])
-    return lists[li][ii]
+def _pick(spec, model, kept):
+    """(sigma_best, angle_to_wstar) of the trial report that selects from the
+    candidate lists `kept` (grid widths, iterates, d); its holdout is
+    _pick_holdout(spec, model)."""
+    config = LearnerConfig(grid=(0.3, 0.2, 0.1)[: len(kept)], t_cap=1, holdout_size=50_000, eval_size=1_000)
+    rep = _trial_report(spec, model, config, 8, float("nan"), np.asarray(kept, dtype=float), 0.0)
+    return rep.sigma_best, rep.angle_to_wstar
+
+
+def _pick_holdout(spec, model):
+    return make_dataset(spec, model, 50_000, derive_seed(8, 2))
 
 
 def test_c_const_report_value():
@@ -91,36 +98,35 @@ def test_select_best_single_and_planted():
     spec = dist.gaussian(4)
     w_star = unit_vector(4, 1)
     model = far_flip(w_star, Z=dist.z_for_tail_mass(spec, 0.05), theta2=0.3)
-    holdout = make_dataset(spec, model, 50_000, seed=8)
-    np.testing.assert_array_equal(_select_w([w_star[None, :]], holdout), w_star)
+    holdout = _pick_holdout(spec, model)
+    assert _pick(spec, model, [w_star[None, :]]) == (0.3, 0.0)
 
     rng = np.random.default_rng(9)
     noise_vecs = rng.standard_normal((6, 4))
     noise_vecs /= np.linalg.norm(noise_vecs, axis=1)[:, None]
     planted = np.vstack([noise_vecs[:3], w_star])
-    others = noise_vecs[3:]
+    others = np.vstack([noise_vecs[3:], noise_vecs[3]])
     errs_all = zero_one_errors(np.vstack([noise_vecs, w_star]), holdout)
     gap = np.sort(errs_all)[1] - np.min(errs_all)
     hoeffding = math.sqrt(math.log(2 / 0.01) / (2 * 50_000))
     if gap > 2 * hoeffding:  # planted optimum separated: must be selected
-        np.testing.assert_array_equal(_select_w([planted, others], holdout), w_star)
-    a = _select_w([planted, others], holdout)
-    b = _select_w([planted, others], holdout)
-    np.testing.assert_array_equal(a, b)
+        assert _pick(spec, model, [others, planted]) == (0.2, 0.0)
+    assert _pick(spec, model, [planted, others]) == _pick(spec, model, [planted, others])
 
 
 def test_select_best_tie_breaks_by_grid_then_iterate_order():
     spec = dist.gaussian(2)
     w_star = unit_vector(2, 1)
-    holdout = make_dataset(spec, clean_labels(w_star), 1000, seed=10)
-    first = np.vstack([-w_star, w_star, w_star])
-    second = w_star[None, :]
-    errs = [zero_one_errors(first, holdout), zero_one_errors(second, holdout)]
-    assert errs[0][1] == errs[0][2] == errs[1][0]
-    assert _select(errs) == (0, 1)
-    assert _select(errs[::-1]) == (0, 0)
-    with pytest.raises(ValueError):
-        _select([])
+    model = clean_labels(w_star)
+    holdout = _pick_holdout(spec, model)
+    near = np.array([math.sin(1e-7), math.cos(1e-7)])  # same holdout error as w_star, nonzero angle
+    first = np.vstack([-w_star, w_star, near])
+    second = np.vstack([near, w_star, -w_star])
+    errs = zero_one_errors(np.vstack([first, second]), holdout)
+    assert errs[1] == errs[2] == errs[3] == errs[4] < errs[0]
+    assert _pick(spec, model, [first, second]) == (0.3, 0.0)
+    sigma, angle = _pick(spec, model, [second, first])
+    assert sigma == 0.3 and angle > 0.0
 
 
 def test_run_for_sigma_full_list_length():

@@ -128,6 +128,9 @@ def test_min_grad_iterate_selects_planted_optimum():
     np.testing.assert_array_equal(norms, batch_grad_norms(vectors, dataset, sigma=0.3, batch=20_000))
     with pytest.raises(ValueError):
         batch_grad_norms(vectors, dataset, sigma=0.3, batch=0)
+    for sigma in (0.0, -0.3, float("nan")):
+        with pytest.raises(ValueError):
+            batch_grad_norms(vectors, dataset, sigma=sigma, batch=20_000)
 
 
 def test_batch_grad_norms_match_per_iterate_loop():
