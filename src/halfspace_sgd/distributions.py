@@ -139,7 +139,7 @@ def _gauss_chi_tail(d: int, z):
         q = np.exp(-x)
         a = 1.0
     else:
-        q = np.array([math.erfc(math.sqrt(v)) for v in np.atleast_1d(x)]).reshape(x.shape)
+        q = np.array([math.erfc(math.sqrt(v)) for v in x.ravel()]).reshape(x.shape)
         a = 0.5
     logx = np.log(np.maximum(x, 1e-300))
     while a < d / 2.0 - 1e-9:

@@ -7,6 +7,8 @@ generation, error estimation and the noise constructions all agree.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -45,17 +47,16 @@ def unit_vector(dim: int, axis: int = 0) -> np.ndarray:
 
 
 def angle_between(u, v) -> float:
-    """Angle in [0, pi] between two unit vectors.
+    """Angle in [0, pi] between two unit vectors, 2 atan2(||u - v||, ||u + v||).
 
-    The inner product is clamped to [-1, 1] before arccos so numerically
-    collinear inputs cannot produce NaN.
+    Keeps full relative precision at any angle, tiny ones included, where
+    arccos of the inner product would read 0 below about 1e-8 rad.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    dot = float(np.dot(u, v))
-    return float(np.arccos(min(1.0, max(-1.0, dot))))
+    return 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
 
 
 def halfspace_labels(w, X) -> np.ndarray:

@@ -17,6 +17,17 @@ logistic. All pieces are split at every kink locus before quadrature, so the
 panel-doubling error estimates are honest; quadrature.refine_by_doubling
 floors every one of them at double-precision roundoff.
 
+Batching: every sector x annulus x kink-split piece of every point of a scan
+is one row of one of two rules (the radial first coordinate; the angular or
+tensor second coordinate), and one refine_by_doubling call drives them all.
+Each doubling level evaluates the rows that have not converged in stacked
+array passes of at most _BLOCK_NODES nodes; each row keeps its own stopping
+test and roundoff floor. The logistic tensor rule factors its integrand as
+a^T S b (radial weight a, angular weight b, slope S = (1 + tanh(t/2))/2),
+so only S is materialized. A row's arithmetic depends on that row alone, so
+convex_population_grad, the one-point case, equals the same point inside
+scan_cone bitwise.
+
 Truncation: integrals stop at r_max chosen from the closed-form tails so the
 neglected mass contributes less than tol/10 (heavy-tailed families need
 r_max growing like (1/tol)^(1/(s-1))). For the logistic and hinge losses the
@@ -27,6 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,7 +47,7 @@ from . import distributions as dist
 from .geometry import rotate2d
 from .losses import ConvexSurrogate
 from .noise import NoiseModel, far_flip
-from .quadrature import QuadratureError, gl_nodes, integrate_refining, refine_by_doubling
+from .quadrature import GL_ORDER, QuadratureError, gl_panels, refine_by_doubling
 
 __all__ = [
     "QuadratureSpec",
@@ -50,6 +63,8 @@ ANGLE_MARGIN = 1e-9  # safety margin subtracted from the admissible cone angle
 # (loss kind, family) pairs the oracle refuses for every s: the truncation
 # bound for the unbounded squared-hinge slope is only derived for light tails
 UNSUPPORTED_PAIRS = frozenset({("squared_hinge", "heavy_tailed")})
+_BLOCK_NODES = 1 << 17  # nodes per stacked array pass: bounds a level's temporaries
+_TENSOR_NODES = 16_000_000  # node budget of one 2D tensor cell
 
 
 @dataclass(frozen=True)
@@ -127,37 +142,61 @@ def _sector_labels(model: NoiseModel, frame_shift: float, phi_mid: float) -> tup
     return clean, (clean if in_c else -clean)
 
 
-def _split_at(points, lo: float, hi: float) -> np.ndarray:
-    inner = [p for p in points if lo + 1e-13 < p < hi - 1e-13]
-    return np.unique(np.concatenate([[lo], np.sort(inner), [hi]]))
+def _split_at(points, lo: float, hi: float) -> list[tuple[float, float]]:
+    """[lo, hi] cut at the points strictly inside it, as (a, b) pieces."""
+    edges = sorted({lo, hi, *(p for p in points if lo + 1e-13 < p < hi - 1e-13)})
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def _e1_piece(loss, spec, rho, y, s1, s2, ra, rb, quad) -> tuple[float, float]:
-    """First-coordinate contribution of one sector/annulus cell (w-frame)."""
+def _radial_kinks(loss, rho, y, s1, s2) -> list[float]:
+    """Radii where the hinge-type loss of -y rho r s_i kinks (-y rho r s_i = -1)."""
+    if loss.kind not in ("hinge", "squared_hinge"):
+        return []
+    return [1.0 / (rho * y * s) for s in (s1, s2) if y * s > 1e-300]
 
-    def integrand(r):
-        return (
-            dist.radial_density(spec, r)
-            * r
-            * (loss.value(-y * rho * r * s2) - loss.value(-y * rho * r * s1))
-            / rho
-        )
 
-    # hinge-type kinks sit at radii where -y rho r s_i = -1
+def _angular_kinks(rho, y, ra, rb) -> list[float]:
+    """Angles where the slope support boundary r = 1/(rho y sin phi) crosses
+    ra or rb, plus the sign changes of sin(phi)."""
     kinks = []
-    if loss.kind in ("hinge", "squared_hinge"):
-        for s in (s1, s2):
-            if y * s > 1e-300:
-                kinks.append(1.0 / (rho * y * s))
-    total, err = 0.0, 0.0
-    edges = _split_at(kinks, ra, rb)
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e = integrate_refining(
-            integrand, a, b, quad.tol, quad.radial_panels, quad.max_doublings, geometric=(a > 0.0)
-        )
-        total += v
-        err += e
-    return total, err
+    for r_edge in (ra, rb):
+        if r_edge > 0:
+            c = 1.0 / (rho * r_edge)
+            if c <= 1.0:
+                base = math.asin(c) if y > 0 else -math.asin(c)
+                for cand in (base, math.pi - base):
+                    for k in (-1, 0, 1):
+                        kinks.append(cand + 2.0 * math.pi * k)
+    for k in (-1, 0, 1, 2):
+        kinks.append(k * math.pi)
+    return kinks
+
+
+def _row_blocks(rows: int, nodes_per_row: int) -> list[slice]:
+    """Consecutive row slices of at most _BLOCK_NODES nodes (one row at least)."""
+    step = max(1, _BLOCK_NODES // nodes_per_row)
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _line_level(integrand, geometric, panels, rows, k):
+    """Integrals over [a, b] at doubling level k, one per row (a, b, *params):
+    integrand(params, x) on one row of nodes x per row, with geometric panels
+    where `geometric` and a > 0."""
+    size = GL_ORDER * (panels << k)
+    values, abs_sums = np.empty(rows.shape[0]), np.empty(rows.shape[0])
+    for blk in _row_blocks(rows.shape[0], size):
+        a, b = rows[blk, 0], rows[blk, 1]
+        x, w = gl_panels(a, b, panels << k, geometric & (a > 0.0))
+        f = w * integrand(rows[blk, 2:].T[..., None], x)
+        values[blk] = f.sum(axis=1)
+        abs_sums[blk] = np.abs(f).sum(axis=1)
+    return values, abs_sums, size
+
+
+def _radial_integrand(loss, spec, params, r):
+    """First coordinate, params (c1, c2, rho): r gamma(r) [l(c2 r) - l(c1 r)] / rho."""
+    c1, c2, rho = params
+    return r * dist.radial_density(spec, r) * (loss.value(c2 * r) - loss.value(c1 * r)) / rho
 
 
 def _partial_m2(spec, a, b):
@@ -170,66 +209,155 @@ def _partial_m3(spec, a, b):
     return (dist.truncated_second_moment(spec, a) - dist.truncated_second_moment(spec, b)) / (2.0 * math.pi)
 
 
-def _e2_piece_closed_inner(loss, spec, rho, y, p1, p2, ra, rb, quad) -> tuple[float, float]:
-    """Second coordinate for hinge/squared hinge: the slope is supported on
-    r <= 1/(rho y sin phi) (when y sin phi > 0), so the inner radial integral
-    is a closed-form partial moment and only the angular integral is numeric."""
-
-    def g(phi):
-        s = np.sin(phi)
-        ys = y * s
-        hi = np.where(ys > 1e-300, np.minimum(rb, 1.0 / (rho * np.maximum(ys, 1e-300))), rb)
-        hi = np.maximum(hi, ra)
-        if loss.kind == "hinge":
-            inner = _partial_m2(spec, ra, hi)
-        else:
-            inner = 2.0 * _partial_m2(spec, ra, hi) - 2.0 * rho * ys * _partial_m3(spec, ra, hi)
-        return (-y * s) * inner
-
-    # angular kinks: where the slope support boundary crosses ra or rb,
-    # plus the sign changes of sin(phi)
-    kinks = []
-    for r_edge in (ra, rb):
-        if r_edge > 0:
-            c = 1.0 / (rho * r_edge)
-            if c <= 1.0:
-                base = math.asin(c) if y > 0 else -math.asin(c)
-                for cand in (base, math.pi - base):
-                    for k in (-1, 0, 1):
-                        kinks.append(cand + 2.0 * math.pi * k)
-    for k in (-1, 0, 1, 2):
-        kinks.append(k * math.pi)
-    total, err = 0.0, 0.0
-    edges = _split_at(kinks, p1, p2)
-    for a, b in zip(edges[:-1], edges[1:]):
-        v, e = integrate_refining(g, a, b, quad.tol, quad.angular_panels, quad.max_doublings)
-        total += v
-        err += e
-    return total, err
+def _angular_integrand(loss, spec, params, phi):
+    """Second coordinate for hinge/squared hinge, params (y, rho, ra, rb).
+    The slope is supported on r <= 1/(rho y sin phi) (when y sin phi > 0), so
+    the inner radial integral over [ra, rb] is a closed-form partial moment
+    and only the angle is integrated."""
+    y, rho, ra, rb = params
+    s = np.sin(phi)
+    ys = y * s
+    hi = np.where(ys > 1e-300, np.minimum(rb, 1.0 / (rho * np.maximum(ys, 1e-300))), rb)
+    hi = np.maximum(hi, ra)
+    if loss.kind == "hinge":
+        inner = _partial_m2(spec, ra, hi)
+    else:
+        inner = 2.0 * _partial_m2(spec, ra, hi) - 2.0 * rho * ys * _partial_m3(spec, ra, hi)
+    return (-y * s) * inner
 
 
-def _e2_piece_tensor(loss, spec, rho, y, p1, p2, ra, rb, quad) -> tuple[float, float]:
-    """Second coordinate by a 2D tensor Gauss rule (smooth integrands only)."""
-    geometric = ra > 0.0
+def _tensor_level(spec, quad, rows, k):
+    """Second-coordinate logistic integrals at doubling level k, one per row
+    (y, rho, p1, p2, ra, rb), by a tensor Gauss rule over r in [ra, rb] and
+    phi in [p1, p2].
+
+    The integrand factors as a_r S_rp b_p: the radial weight
+    a = r^2 gamma(r) w_r, the angular weight b = -y sin(phi) w_phi and the
+    logistic slope S = (1 + tanh(t/2))/2 at t = -y rho r sin(phi). Only S is
+    materialized, in blocks of at most _BLOCK_NODES nodes, and is reduced by
+    one matmul against (b, |b|). The value is a^T S b; as S > 0 and a >= 0,
+    the roundoff sum is a^T S |b|.
+    """
+    pr, pa = quad.radial_panels << k, quad.angular_panels << k
+    nr, npts = GL_ORDER * pr, GL_ORDER * pa
+    if nr * npts > _TENSOR_NODES:  # node budget: fail loudly, not slowly
+        raise QuadratureError(f"2D tensor rule did not reach tol={quad.tol:g} within 16M nodes")
+    y, rho, p1, p2, ra, rb = rows.T
+    rn, rw = gl_panels(ra, rb, pr, ra > 0.0)
+    pn, pw = gl_panels(p1, p2, pa, False)
+    s = np.sin(pn)
+    a = 0.5 * (rn * dist.radial_density(spec, rn) * rn * rw)  # the 1/2 of S
+    b = -y[:, None] * s * pw
+    ab = np.stack([b, np.abs(b)], axis=1)
+    half_t = (-0.5 * y * rho)[:, None] * rn  # t/2 = half_t[r] * sin(phi)
+    u = np.empty((rows.shape[0], 2, nr))  # (S b, S |b|) at every radial node
+    span = nr if nr * npts <= _BLOCK_NODES else max(1, _BLOCK_NODES // npts)
+    for blk in _row_blocks(rows.shape[0], nr * npts):
+        for j in range(0, nr, span):
+            S = np.multiply(half_t[blk, j:j + span, None], s[blk, None, :])
+            np.tanh(S, out=S)
+            S += 1.0
+            u[blk, :, j:j + span] = ab[blk] @ S.transpose(0, 2, 1)
+    return (u[:, 0] * a).sum(axis=1), (u[:, 1] * a).sum(axis=1), nr * npts
+
+
+class _Rule(NamedTuple):
+    """A family of integrals: one parameter row each, the stacked estimate
+    level(rows, k) -> (values, abs_sums, nodes per row), and a name per row."""
+
+    rows: np.ndarray
+    level: Callable
+    name: Callable
+
+
+def _integrate(rules, quad) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(values, errors) of every row of every rule, from one
+    refine_by_doubling call: each doubling level evaluates the rows that have
+    not converged, rule by rule, in stacked array passes."""
+    bounds = np.cumsum([0] + [rule.rows.shape[0] for rule in rules])
+    active = np.ones(int(bounds[-1]), dtype=bool)
 
     def estimate(k):
-        pr, pa = quad.radial_panels << k, quad.angular_panels << k
-        if pr * pa * 256 > 16_000_000:  # node budget: fail loudly, not slowly
-            raise QuadratureError(f"2D tensor rule did not reach tol={quad.tol:g} within 16M nodes")
-        r_edges = np.geomspace(ra, rb, pr + 1) if geometric else np.linspace(ra, rb, pr + 1)
-        rn, rw = gl_nodes(r_edges)
-        pn, pw = gl_nodes(np.linspace(p1, p2, pa + 1))
-        s = np.sin(pn)
-        t = -y * rho * rn[:, None] * s[None, :]
-        f = (rn * dist.radial_density(spec, rn) * rn * rw)[:, None] * (
-            (-y * s * pw)[None, :]
-        ) * loss.slope(t)
-        return float(np.sum(f)), float(np.sum(np.abs(f))), f.size
+        parts = []
+        for rule, lo, hi in zip(rules, bounds[:-1], bounds[1:]):
+            rows = rule.rows[active[lo:hi]]
+            if rows.shape[0]:
+                value, abs_sum, size = rule.level(rows, k)
+                parts.append((value, abs_sum, np.full(rows.shape[0], size)))
+        value, abs_sum, sizes = (np.concatenate(p) for p in zip(*parts))
+        return value, abs_sum, int(sizes.sum()), sizes
 
-    return refine_by_doubling(
-        estimate, quad.tol, quad.max_doublings,
-        f"the 2D tensor rule over r in [{ra:g}, {rb:g}], phi in [{p1:g}, {p2:g}]",
-    )
+    def where(i):
+        j = int(np.searchsorted(bounds, i, side="right")) - 1
+        return rules[j].name(rules[j].rows[i - bounds[j]])
+
+    values, errors = refine_by_doubling(estimate, quad.tol, quad.max_doublings, where, active)
+    return [(values[lo:hi], errors[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: QuadratureSpec):
+    """Population gradients at the points ws: (grads, errors, S parts, Sc
+    parts), one row per point, in the original coordinates.
+
+    Every sector x annulus x kink-split piece of every point is integrated
+    in one refine_by_doubling call. A piece's arithmetic depends on that
+    piece alone and each point sums its pieces in a fixed order, so a point's
+    row does not depend on the other points, bitwise.
+    """
+    Z = model.Z if model.kind == "far_flip" else math.inf
+    radial, second = [], []  # parameter rows of the two coordinates' rules
+    radial_at, second_at = [], []  # 2 * point + (1 if the piece lies in S)
+    shifts = []
+    for i, w in enumerate(ws):
+        rho = float(np.linalg.norm(w))
+        frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
+        shifts.append(frame_shift)
+        r_max = quad.r_max if quad.r_max is not None else _auto_r_max(loss, spec, rho, quad.tol)
+        annuli = [(0.0, r_max, False)] if Z >= r_max else [(0.0, Z, False), (Z, r_max, True)]
+        brk = _sector_break_angles(model, frame_shift).tolist()
+        for p1, p2 in zip(brk, brk[1:] + [brk[0] + 2.0 * math.pi]):
+            inner_y, outer_y = _sector_labels(model, frame_shift, 0.5 * (p1 + p2))
+            s1, s2 = math.sin(p1), math.sin(p2)
+            for ra, rb, outer in annuli:
+                y = outer_y if outer else inner_y
+                at = 2 * i + outer
+                for a, b in _split_at(_radial_kinks(loss, rho, y, s1, s2), ra, rb):
+                    radial.append((a, b, -y * rho * s1, -y * rho * s2, rho))
+                    radial_at.append(at)
+                if loss.kind == "logistic":
+                    second.append((y, rho, p1, p2, ra, rb))
+                    second_at.append(at)
+                    continue
+                for a, b in _split_at(_angular_kinks(rho, y, ra, rb), p1, p2):
+                    second.append((a, b, y, rho, ra, rb))
+                    second_at.append(at)
+
+    if loss.kind == "logistic":
+        second_rule = _Rule(np.array(second), partial(_tensor_level, spec, quad), lambda row: (
+            f"the 2D tensor rule over r in [{row[4]:g}, {row[5]:g}], phi in [{row[2]:g}, {row[3]:g}]"))
+    else:
+        second_rule = _Rule(np.array(second), partial(
+            _line_level, partial(_angular_integrand, loss, spec), False, quad.angular_panels),
+            lambda row: f"phi in [{row[0]:g}, {row[1]:g}]")
+    radial_rule = _Rule(np.array(radial), partial(
+        _line_level, partial(_radial_integrand, loss, spec), True, quad.radial_panels),
+        lambda row: f"r in [{row[0]:g}, {row[1]:g}]")
+    (v1, e1), (v2, e2) = _integrate([radial_rule, second_rule], quad)
+
+    n = len(shifts)
+    parts = np.zeros((2 * n, 2))  # w-frame gradient over S^c (even rows) and S (odd rows)
+    np.add.at(parts[:, 0], radial_at, v1)
+    np.add.at(parts[:, 1], second_at, v2)
+    errors = np.zeros(n)
+    np.add.at(errors, np.array(radial_at) // 2, e1)
+    np.add.at(errors, np.array(second_at) // 2, e2)
+    errors += quad.tol / 10.0  # truncation budget beyond r_max
+
+    # rotate back from each point's w-frame
+    cos, sin = np.repeat(np.cos(shifts), 2), np.repeat(np.sin(shifts), 2)
+    parts = np.stack([cos * parts[:, 0] - sin * parts[:, 1], sin * parts[:, 0] + cos * parts[:, 1]], axis=1)
+    in_s, in_sc = parts[1::2], parts[0::2]
+    return in_s + in_sc, errors, in_s, in_sc
 
 
 def convex_population_grad(loss: ConvexSurrogate, w, spec, model: NoiseModel,
@@ -239,58 +367,16 @@ def convex_population_grad(loss: ConvexSurrogate, w, spec, model: NoiseModel,
     Returns (grad, error estimate, {'S': grad over S, 'Sc': grad over S^c}),
     all in the original coordinates. Raises QuadratureError if panel doubling
     fails to converge or quad.tol is below the roundoff floor of an integral;
-    never returns a silent estimate.
+    never returns a silent estimate. This is the one-point case of the scan
+    path, so it equals the same point inside scan_cone bitwise.
     """
     w = np.asarray(w, dtype=float)
-    rho = float(np.linalg.norm(w))
-    if w.shape != (2,) or rho == 0.0:
+    if w.shape != (2,) or float(np.linalg.norm(w)) == 0.0:
         raise ValueError("w must be a nonzero 2D vector")
     if spec.dim != 2:
         raise ValueError("the population oracle is two-dimensional")
-    frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
-
-    r_max = quad.r_max if quad.r_max is not None else _auto_r_max(loss, spec, rho, quad.tol)
-    Z = model.Z if model.kind == "far_flip" else math.inf
-    radial_pieces = []  # (ra, rb, use_outer_label)
-    if Z >= r_max:
-        radial_pieces.append((0.0, r_max, False))
-    else:
-        radial_pieces.append((0.0, Z, False))
-        radial_pieces.append((Z, r_max, True))
-
-    brk = _sector_break_angles(model, frame_shift)
-    sectors = [(brk[i], brk[i + 1]) for i in range(len(brk) - 1)]
-    sectors.append((brk[-1], brk[0] + 2.0 * math.pi))
-
-    grad = np.zeros(2)
-    split = {"S": np.zeros(2), "Sc": np.zeros(2)}
-    err = 0.0
-    for p1, p2 in sectors:
-        inner_y, outer_y = _sector_labels(model, frame_shift, 0.5 * (p1 + p2))
-        s1, s2 = math.sin(p1), math.sin(p2)
-        for ra, rb, outer in radial_pieces:
-            y = outer_y if outer else inner_y
-            g1, e1 = _e1_piece(loss, spec, rho, y, s1, s2, ra, rb, quad)
-            if loss.kind == "logistic":
-                g2, e2 = _e2_piece_tensor(loss, spec, rho, y, p1, p2, ra, rb, quad)
-            else:
-                g2, e2 = _e2_piece_closed_inner(loss, spec, rho, y, p1, p2, ra, rb, quad)
-            piece = np.array([g1, g2])
-            grad += piece
-            split["S" if outer else "Sc"] += piece
-            err += e1 + e2
-    err += quad.tol / 10.0  # truncation budget beyond r_max
-
-    # rotate back from the w-frame
-    rot = np.array(
-        [
-            [math.cos(frame_shift), -math.sin(frame_shift)],
-            [math.sin(frame_shift), math.cos(frame_shift)],
-        ]
-    )
-    grad = rot @ grad
-    split = {k: rot @ v for k, v in split.items()}
-    return grad, err, split
+    grads, errors, in_s, in_sc = _gradients(loss, spec, model, [w], quad)
+    return grads[0], float(errors[0]), {"S": in_s[0], "Sc": in_sc[0]}
 
 
 def admissible_theta(spec, Z: float) -> float:
@@ -317,7 +403,8 @@ def scan_cone(loss: ConvexSurrogate, spec, Z: float, theta: float, grid_points: 
     +/- theta of w* (both sides) and report the minimum.
 
     w* is taken as e2 (radial symmetry makes the choice immaterial) and the
-    construction uses theta2 = 2 theta.
+    construction uses theta2 = 2 theta. Every grid point is integrated in
+    one batched refine_by_doubling call.
     """
     if grid_points < 1:
         raise ValueError("grid_points must be >= 1")
@@ -329,15 +416,10 @@ def scan_cone(loss: ConvexSurrogate, spec, Z: float, theta: float, grid_points: 
     if quad.r_max is None and _loss_linf_slope(loss) is not None:
         # the logistic/hinge truncation radius does not depend on w
         quad = replace(quad, r_max=_auto_r_max(loss, spec, 1.0, quad.tol))
-    best = (math.inf, None, 0.0)
-    max_err = 0.0
-    for ang in angles:
-        w = rotate2d(w_star, float(ang))
-        grad, err, _ = convex_population_grad(loss, w, spec, model, quad)
-        norm = float(np.linalg.norm(grad))
-        max_err = max(max_err, err)
-        if norm < best[0]:
-            best = (norm, w, float(ang))
+    ws = [rotate2d(w_star, float(ang)) for ang in angles]
+    grads, errors, _, _ = _gradients(loss, spec, model, ws, quad)
+    norms = [float(np.linalg.norm(g)) for g in grads]
+    best = int(np.argmin(norms))
     return ConeScanReport(
         loss=loss.kind,
         family=spec.family,
@@ -345,10 +427,10 @@ def scan_cone(loss: ConvexSurrogate, spec, Z: float, theta: float, grid_points: 
         theta=float(theta),
         theta2=2.0 * float(theta),
         grid_points=int(grid_points),
-        min_grad_norm=best[0],
-        argmin_w=best[1],
-        argmin_angle=best[2],
-        max_quad_error=max_err,
+        min_grad_norm=norms[best],
+        argmin_w=ws[best],
+        argmin_angle=float(angles[best]),
+        max_quad_error=float(np.max(errors)),
     )
 
 

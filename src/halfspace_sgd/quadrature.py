@@ -1,10 +1,17 @@
-"""Gauss-Legendre panel quadrature with doubling-based error control.
+"""Gauss-Legendre panel quadrature with doubling-based error control, over
+batches of integrals.
 
-All oracle integrals reduce to 1D integrals of piecewise-smooth functions
-over explicit breakpoints, integrated per panel with a fixed-order
-Gauss-Legendre rule; panel counts double until two successive estimates
-agree to the requested tolerance. Tail pieces use geometrically spaced
-panels so heavy-tailed integrands (support out to r ~ 1e5) stay cheap.
+All oracle integrals reduce to integrals of piecewise-smooth functions over
+explicit breakpoints, integrated per panel with a fixed-order Gauss-Legendre
+rule; panel counts double until two successive estimates agree to the
+requested tolerance. Tail pieces use geometrically spaced panels so
+heavy-tailed integrands (support out to r ~ 1e5) stay cheap.
+
+refine_by_doubling drives a whole batch of independent integrals: each
+doubling level is one call of the batch's estimate, which evaluates only the
+integrals that have not converged yet, in one stacked array pass. Every
+integral keeps its own stopping test and its own roundoff floor, so its
+result does not depend on which other integrals share the batch.
 
 Error estimates are floored at double-precision roundoff: an estimate
 sum_i w_i f_i over n nodes is never reported with an error below
@@ -20,92 +27,86 @@ import math
 
 import numpy as np
 
-__all__ = ["QuadratureError", "gl_nodes", "integrate_refining", "refine_by_doubling"]
+__all__ = ["GL_ORDER", "QuadratureError", "gl_panels", "refine_by_doubling"]
 
-_GL_ORDER = 16
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_ORDER)
+GL_ORDER = 16  # Gauss-Legendre nodes per panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
 _EPS = float(np.finfo(float).eps)
 
 
 class QuadratureError(RuntimeError):
     """Raised when panel doubling cannot meet its tolerance: either tol is at
-    or below the roundoff floor of the estimate, or the doubling budget runs
+    or below the roundoff floor of an estimate, or the doubling budget runs
     out first."""
 
 
-def gl_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights for the panels defined by sorted edges."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-    weights = (half[:, None] * _GL_W[None, :]).ravel()
+def gl_panels(a, b, panels: int, geometric) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, one row per interval [a_i, b_i] cut
+    into `panels` panels: geometrically spaced where geometric (a scalar or
+    one flag per row; needs a_i > 0), uniform elsewhere. Each row depends on
+    its own interval only."""
+    a = np.asarray(a, dtype=float)[:, None]
+    b = np.asarray(b, dtype=float)[:, None]
+    geometric = np.asarray(geometric, dtype=bool).reshape(-1, 1)
+    u = np.arange(panels + 1) / panels
+    lo = np.where(geometric, a, 1.0)
+    edges = np.where(geometric, lo * (b / lo) ** u, a + (b - a) * u)
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * (edges[:, 1:] - edges[:, :-1])
+    nodes = (mid[..., None] + half[..., None] * _GL_X).reshape(a.shape[0], -1)
+    weights = (half[..., None] * _GL_W).reshape(a.shape[0], -1)
     return nodes, weights
 
 
-def _edges(a: float, b: float, panels: int, geometric: bool) -> np.ndarray:
-    if geometric and a > 0:
-        return np.geomspace(a, b, panels + 1)
-    return np.linspace(a, b, panels + 1)
+def refine_by_doubling(estimate, tol: float, max_doublings: int, where, active: np.ndarray):
+    """Panel-doubling driver shared by every quadrature rule, over a batch of
+    independent integrals; returns their (values, errors) as arrays.
 
-
-def refine_by_doubling(estimate, tol: float, max_doublings: int, where: str) -> tuple[float, float]:
-    """Panel-doubling driver shared by every quadrature rule.
-
-    estimate(k) returns (value, abs_sum, nodes) for the rule with 2**k times
-    the initial panel count, where abs_sum = sum_i |w_i f_i| over its nodes.
-    Doubling stops when successive values differ by less than tol; the
-    reported error is that difference, floored at log2(nodes) * eps * abs_sum.
-    Raises QuadratureError if tol is at or below the floor of any estimate,
-    or if max_doublings pass without convergence.
+    `active` holds one True per integral on entry. The driver clears an
+    integral's entry once it has converged, and estimate(k) reads it:
+    estimate(k) returns (values, abs_sums, nodes, sizes) for the active
+    integrals only, in index order, each at 2**k times its initial panel
+    count. abs_sums are sum_i |w_i f_i| per integral, sizes its node count,
+    and nodes the call's total node count (an int). An integral stops when
+    two successive values differ by less than tol; its reported error is
+    that difference, floored at log2(size) * eps * abs_sum. where(i) names
+    integral i in error messages. Raises QuadratureError if tol is at or
+    below the floor of any estimate, or if max_doublings pass without
+    convergence.
     """
+    values = np.empty(active.size)
+    errors = np.empty(active.size)
+    prev = np.empty(active.size)
 
     def floored(k):
-        value, abs_sum, nodes = estimate(k)
-        floor = math.log2(nodes) * _EPS * abs_sum
-        if tol <= floor:
+        idx = np.flatnonzero(active)
+        value, abs_sum, _, sizes = estimate(k)
+        floor = np.log2(sizes) * _EPS * abs_sum
+        bad = np.flatnonzero(tol <= floor)
+        if bad.size:
+            j = bad[0]
             raise QuadratureError(
-                f"tol={tol:g} is below the roundoff floor {floor:.3g} of {where} "
-                f"(value {value:.17g} at {nodes} nodes)"
+                f"tol={tol:g} is below the roundoff floor {floor[j]:.3g} of {where(idx[j])} "
+                f"(value {value[j]:.17g} at {sizes[j]} nodes)"
             )
-        return value, floor
+        return idx, value, floor
 
-    prev, _ = floored(0)
-    change = math.inf
+    idx, first, _ = floored(0)
+    prev[idx] = first
+    change = np.full(active.size, math.inf)
     for k in range(1, max_doublings + 1):
-        cur, floor = floored(k)
-        change = abs(cur - prev)
-        if change < tol:
-            return cur, max(change, floor)
-        prev = cur
+        idx, cur, floor = floored(k)
+        change[idx] = np.abs(cur - prev[idx])
+        done = change[idx] < tol
+        values[idx[done]] = cur[done]
+        errors[idx[done]] = np.maximum(change[idx[done]], floor[done])
+        active[idx[done]] = False
+        if not active.any():
+            return values, errors
+        prev[idx] = cur
+    i = int(np.flatnonzero(active)[0])
     raise QuadratureError(
-        f"panel doubling did not reach tol={tol:g} on {where} "
-        f"(last change {change:g} after {max_doublings} doublings)"
+        f"panel doubling did not reach tol={tol:g} on {where(i)} "
+        f"(last change {change[i]:g} after {max_doublings} doublings)"
     )
 
-
-def integrate_refining(
-    f,
-    a: float,
-    b: float,
-    tol: float,
-    panels: int = 4,
-    max_doublings: int = 12,
-    geometric: bool = False,
-) -> tuple[float, float]:
-    """Integrate f (vectorized) on [a, b]; returns (value, error estimate).
-
-    Panel count doubles until successive estimates differ by less than tol;
-    the final difference, floored at the roundoff of the final estimate
-    (see refine_by_doubling), is the reported error estimate. Raises
-    QuadratureError when tol is below that roundoff floor or the doubling
-    budget runs out.
-    """
-    if b <= a:
-        return 0.0, 0.0
-
-    def estimate(k):
-        nodes, weights = gl_nodes(_edges(a, b, panels << k, geometric))
-        fvals = f(nodes)
-        return float(np.dot(weights, fvals)), float(np.dot(weights, np.abs(fvals))), nodes.size
-
-    return refine_by_doubling(estimate, tol, max_doublings, f"[{a:g}, {b:g}]")

@@ -9,9 +9,42 @@ import math
 import numpy as np
 
 from halfspace_sgd import distributions as dist
+from halfspace_sgd import oracle
 from halfspace_sgd.geometry import halfspace_labels, rotate2d
 from halfspace_sgd.losses import sigmoid, surrogate_grad_rows
-from halfspace_sgd.quadrature import integrate_refining
+from halfspace_sgd.quadrature import gl_panels, refine_by_doubling
+
+
+def integrate_refining(
+    f,
+    a: float,
+    b: float,
+    tol: float,
+    panels: int = 4,
+    max_doublings: int = 12,
+    geometric: bool = False,
+) -> tuple[float, float]:
+    """Integrate f (vectorized) on [a, b]; returns (value, error estimate).
+    A batch of one integral through quadrature.refine_by_doubling.
+
+    Panel count doubles until successive estimates differ by less than tol;
+    the final difference, floored at the roundoff of the final estimate
+    (see refine_by_doubling), is the reported error estimate. Raises
+    QuadratureError when tol is below that roundoff floor or the doubling
+    budget runs out.
+    """
+    if b <= a:
+        return 0.0, 0.0
+
+    def estimate(k):
+        nodes, weights = gl_panels([a], [b], panels << k, geometric and a > 0)
+        wf = weights[0] * f(nodes[0])
+        return np.array([wf.sum()]), np.array([np.abs(wf).sum()]), wf.size, np.array([wf.size])
+
+    values, errors = refine_by_doubling(
+        estimate, tol, max_doublings, lambda i: f"[{a:g}, {b:g}]", np.ones(1, dtype=bool)
+    )
+    return float(values[0]), float(errors[0])
 
 
 def halfspace_label(w, x) -> int:
@@ -160,3 +193,70 @@ def least_squares_line(x, y):
     xbar, ybar = x.mean(), y.mean()
     slope = float(np.sum((x - xbar) * (y - ybar)) / np.sum((x - xbar) ** 2))
     return slope, float(ybar - slope * xbar)
+
+
+def _tensor_cell(loss, spec, rho, y, p1, p2, ra, rb, quad):
+    """One logistic second-coordinate cell by the elementwise 2D tensor rule."""
+
+    def estimate(k):
+        pr, pa = quad.radial_panels << k, quad.angular_panels << k
+        rn, rw = gl_panels([ra], [rb], pr, ra > 0.0)
+        pn, pw = gl_panels([p1], [p2], pa, False)
+        rn, rw, pn, pw = rn[0], rw[0], pn[0], pw[0]
+        s = np.sin(pn)
+        t = -y * rho * rn[:, None] * s[None, :]
+        f = (rn * dist.radial_density(spec, rn) * rn * rw)[:, None] * (-y * s * pw)[None, :] * loss.slope(t)
+        return np.array([f.sum()]), np.array([np.abs(f).sum()]), f.size, np.array([f.size])
+
+    values, errors = refine_by_doubling(estimate, quad.tol, quad.max_doublings, lambda i: "the tensor cell",
+                                        np.ones(1, dtype=bool))
+    return float(values[0]), float(errors[0])
+
+
+def reference_population_grad(loss, w, spec, model, quad):
+    """(grad, error) of oracle.convex_population_grad by one integration per
+    piece: integrate_refining on every kink-split interval and one
+    elementwise tensor refinement per logistic cell, summed piece by piece;
+    the reference for the batched oracle."""
+    w = np.asarray(w, dtype=float)
+    rho = float(np.linalg.norm(w))
+    frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
+    r_max = quad.r_max if quad.r_max is not None else oracle._auto_r_max(loss, spec, rho, quad.tol)
+    Z = model.Z if model.kind == "far_flip" else math.inf
+    annuli = [(0.0, r_max, False)] if Z >= r_max else [(0.0, Z, False), (Z, r_max, True)]
+    brk = oracle._sector_break_angles(model, frame_shift).tolist()
+    grad, err = np.zeros(2), quad.tol / 10.0
+    for p1, p2 in zip(brk, brk[1:] + [brk[0] + 2.0 * math.pi]):
+        inner_y, outer_y = oracle._sector_labels(model, frame_shift, 0.5 * (p1 + p2))
+        s1, s2 = math.sin(p1), math.sin(p2)
+        for ra, rb, outer in annuli:
+            y = outer_y if outer else inner_y
+
+            def radial(r):
+                return (dist.radial_density(spec, r) * r
+                        * (loss.value(-y * rho * r * s2) - loss.value(-y * rho * r * s1)) / rho)
+
+            def angular(phi):
+                s = np.sin(phi)
+                ys = y * s
+                hi = np.where(ys > 1e-300, np.minimum(rb, 1.0 / (rho * np.maximum(ys, 1e-300))), rb)
+                hi = np.maximum(hi, ra)
+                inner = oracle._partial_m2(spec, ra, hi)
+                if loss.kind == "squared_hinge":
+                    inner = 2.0 * inner - 2.0 * rho * ys * oracle._partial_m3(spec, ra, hi)
+                return (-y * s) * inner
+
+            for a, b in oracle._split_at(oracle._radial_kinks(loss, rho, y, s1, s2), ra, rb):
+                v, e = integrate_refining(radial, a, b, quad.tol, quad.radial_panels, quad.max_doublings,
+                                          geometric=a > 0.0)
+                grad[0] += v
+                err += e
+            if loss.kind == "logistic":
+                pieces = [_tensor_cell(loss, spec, rho, y, p1, p2, ra, rb, quad)]
+            else:
+                pieces = [integrate_refining(angular, a, b, quad.tol, quad.angular_panels, quad.max_doublings)
+                          for a, b in oracle._split_at(oracle._angular_kinks(rho, y, ra, rb), p1, p2)]
+            for v, e in pieces:
+                grad[1] += v
+                err += e
+    return rotate2d(grad, frame_shift), err

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
-from halfspace_sgd.quadrature import integrate_refining
-from helpers import search_well_behaved_params
+from helpers import integrate_refining, search_well_behaved_params
 
 ALL_2D = lambda: (dist.gaussian(2), dist.log_concave(), dist.heavy_tailed(3.0))
 

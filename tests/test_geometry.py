@@ -87,3 +87,10 @@ def test_rotate2d_quarter_turn():
     np.testing.assert_allclose(rotate2d([1.0, 0.0], math.pi / 2), [0.0, 1.0], atol=1e-15)
     with pytest.raises(ValueError):
         rotate2d([1.0, 0.0, 0.0], 0.3)
+
+
+def test_angle_between_keeps_tiny_angles():
+    # arccos of the inner product reads 0 below about 1e-8 rad
+    e2 = unit_vector(2, 1)
+    for angle in (1e-9, 1e-8):
+        assert angle_between(e2, rotate2d(e2, angle)) == pytest.approx(angle, rel=1e-14, abs=0.0)

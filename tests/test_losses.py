@@ -54,8 +54,9 @@ def test_sigmoid_strictly_increasing():
 
 
 def test_sigmoid_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        sigmoid(1.0, 0.0)
+    for sigma in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            sigmoid(1.0, sigma)
 
 
 def test_sigmoid_slope_matches_difference_quotient():

@@ -1,24 +1,25 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
+from halfspace_sgd import oracle, quadrature
 from halfspace_sgd.geometry import rotate2d, unit_vector
 from halfspace_sgd.losses import convex_surrogate
 from halfspace_sgd.noise import corrupt_labels, far_flip
 from halfspace_sgd.oracle import (
     QuadratureSpec,
-    _e2_piece_tensor,
     admissible_theta,
     convex_population_grad,
     grad_monte_carlo,
     predicted_floor,
     scan_cone,
 )
-from halfspace_sgd.quadrature import QuadratureError, integrate_refining
-from helpers import transverse_axis
+from halfspace_sgd.quadrature import QuadratureError, gl_panels
+from helpers import integrate_refining, reference_population_grad, transverse_axis
 
 E2 = unit_vector(2, 1)
 LOGISTIC = convex_surrogate("logistic")
@@ -64,13 +65,41 @@ def test_integrate_refining_tol_below_roundoff_raises_at_once():
     assert len(calls) == 1  # no doubling budget spent on an unreachable tol
 
 
+def _tensor_cells(spec, rows, quad):
+    """(values, errors) of logistic tensor cells (y, rho, p1, p2, ra, rb)
+    through the oracle's batched integration."""
+    rule = oracle._Rule(np.array(rows, dtype=float), partial(oracle._tensor_level, spec, quad), str)
+    return oracle._integrate([rule], quad)[0]
+
+
 def test_tensor_rule_error_floored_and_unreachable_tol_raises():
     spec = dist.gaussian(2)
-    v, err = _e2_piece_tensor(LOGISTIC, spec, 1.0, 1.0, 0.2, 1.3, 0.0, 3.0, QuadratureSpec(tol=1e-12))
+    cell = [(1.0, 1.0, 0.2, 1.3, 0.0, 3.0)]
+    (v,), (err,) = _tensor_cells(spec, cell, QuadratureSpec(tol=1e-12))
     assert err > 0.0
     assert err >= np.finfo(float).eps * abs(v)
     with pytest.raises(QuadratureError, match="below the roundoff floor"):
-        _e2_piece_tensor(LOGISTIC, spec, 1.0, 1.0, 0.2, 1.3, 0.0, 3.0, QuadratureSpec(tol=1e-18))
+        _tensor_cells(spec, cell, QuadratureSpec(tol=1e-18))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_factored_tensor_rule_matches_elementwise_sum(k):
+    # the factored value a^T S b and abs-sum a^T S |b| against the sums of
+    # the elementwise integrand on the same nodes; k = 3 cells exceed one
+    # stacked block, so they are also split along r
+    spec = dist.heavy_tailed(3.0)
+    quad = QuadratureSpec()
+    rows = np.array([(1.0, 1.0, 0.2, 1.3, 0.0, 3.0), (-1.0, 2.5, 3.4, 4.6, 0.7, 40.0)])
+    values, abs_sums, size = oracle._tensor_level(spec, quad, rows, k)
+    assert size == (16 * quad.radial_panels << k) * (16 * quad.angular_panels << k)
+    for (y, rho, p1, p2, ra, rb), v, a in zip(rows, values, abs_sums):
+        rn, rw = gl_panels([ra], [rb], quad.radial_panels << k, ra > 0.0)
+        pn, pw = gl_panels([p1], [p2], quad.angular_panels << k, False)
+        s = np.sin(pn[0])
+        t = -y * rho * rn[0][:, None] * s[None, :]
+        f = (rn[0] ** 2 * dist.radial_density(spec, rn[0]) * rw[0])[:, None] * (-y * s * pw[0]) * LOGISTIC.slope(t)
+        assert v == pytest.approx(np.sum(f), rel=1e-14, abs=0.0)
+        assert a == pytest.approx(np.sum(np.abs(f)), rel=1e-14, abs=0.0)
 
 
 # --- population gradient --------------------------------------------------------
@@ -306,3 +335,48 @@ def test_scan_cone_matches_per_point_gradients(loss):
         errs.append(err)
     assert rep.min_grad_norm == min(norms)
     assert rep.max_quad_error == max(errs)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logconcave", "heavy_tailed"])
+@pytest.mark.parametrize("kind", ["logistic", "hinge", "squared_hinge"])
+def test_batched_gradient_matches_per_piece_reference(kind, family):
+    # the batched oracle against one integration per piece, at three angles
+    if (kind, family) in oracle.UNSUPPORTED_PAIRS:
+        pytest.skip("pair not implemented; refusal covered elsewhere")
+    spec = {"gaussian": dist.gaussian(2), "logconcave": dist.log_concave(),
+            "heavy_tailed": dist.heavy_tailed(3.0)}[family]
+    loss = convex_surrogate(kind)
+    model, Z, theta = _standard_model(spec)
+    quad = QuadratureSpec()
+    for ang in (-theta, 0.4 * theta, 1.7):
+        w = rotate2d(E2, ang) * 1.3
+        g, err, _ = convex_population_grad(loss, w, spec, model, quad)
+        g_ref, err_ref = reference_population_grad(loss, w, spec, model, quad)
+        assert float(np.linalg.norm(g - g_ref)) <= err + err_ref
+
+
+def test_scan_cone_under_a_counting_driver(monkeypatch):
+    # a tracer wraps refine_by_doubling with a one-argument estimate(k) and
+    # sums out[2] into an int; the scan must report the same under it
+    spec = dist.log_concave()
+    _, Z, theta = _standard_model(spec)
+    plain = scan_cone(LOGISTIC, spec, Z, theta, grid_points=3)
+    counts = {"calls": 0, "nodes": 0}
+    refine = quadrature.refine_by_doubling
+
+    def counted(estimate, *args, **kwargs):
+        def counted_estimate(k):
+            out = estimate(k)
+            counts["nodes"] += out[2]
+            return out
+
+        counts["calls"] += 1
+        return refine(counted_estimate, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "refine_by_doubling", counted)
+    traced = scan_cone(LOGISTIC, spec, Z, theta, grid_points=3)
+    assert traced.min_grad_norm == plain.min_grad_norm
+    assert traced.argmin_angle == plain.argmin_angle
+    assert traced.max_quad_error == plain.max_quad_error
+    assert counts["calls"] == 1
+    assert type(counts["nodes"]) is int and counts["nodes"] > 0
