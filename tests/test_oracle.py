@@ -19,6 +19,7 @@ from halfspace_sgd.oracle import (
     scan_cone,
 )
 from halfspace_sgd.quadrature import QuadratureError, gl_panels
+import helpers
 from helpers import integrate_refining, reference_population_grad, transverse_axis
 
 E2 = unit_vector(2, 1)
@@ -357,9 +358,11 @@ def test_batched_gradient_matches_per_piece_reference(kind, family):
 
 def test_scan_cone_under_a_counting_driver(monkeypatch):
     # a tracer wraps refine_by_doubling with a one-argument estimate(k) and
-    # sums out[2] into an int; the scan must report the same under it
-    spec = dist.log_concave()
-    _, Z, theta = _standard_model(spec)
+    # sums out[2] into an int; the scan must report the same under it, and
+    # spend the nodes of one integral at a time (no converged integral is
+    # evaluated again); on heavy tails its integrals stop at different levels
+    spec = dist.heavy_tailed(3.0)
+    model, Z, theta = _standard_model(spec)
     plain = scan_cone(LOGISTIC, spec, Z, theta, grid_points=3)
     counts = {"calls": 0, "nodes": 0}
     refine = quadrature.refine_by_doubling
@@ -380,3 +383,10 @@ def test_scan_cone_under_a_counting_driver(monkeypatch):
     assert traced.max_quad_error == plain.max_quad_error
     assert counts["calls"] == 1
     assert type(counts["nodes"]) is int and counts["nodes"] > 0
+
+    scan_nodes = counts["nodes"]
+    counts["nodes"] = 0
+    monkeypatch.setattr(helpers, "refine_by_doubling", counted)
+    for ang in np.linspace(-theta, theta, 3):
+        reference_population_grad(LOGISTIC, rotate2d(E2, float(ang)), spec, model, QuadratureSpec())
+    assert counts["nodes"] == scan_nodes
