@@ -15,51 +15,59 @@ from __future__ import annotations
 
 import numpy as np
 
-from .losses import ConvexSurrogate, convex_grad_mean, convex_loss_mean
+from .losses import ConvexSurrogate
 
 __all__ = ["full_batch_minimize"]
 
 
-def _hessian(loss, X, y, w):
-    """Mean of l''(-y <x, w>) x x^T, one weighted column product per row of
-    the d x d result, so no weighted copy of X is made."""
-    t = -y * (X @ w)
-    if loss.kind == "logistic":
-        p = loss.slope(t)
-        curve = p * (1.0 - p)
-    else:  # squared_hinge: l'' = 2 on the active set
-        curve = 2.0 * (t >= -1.0)
-    return np.stack([(X[:, i] * curve) @ X for i in range(X.shape[1])]) / X.shape[0]
+def _mean_grad(loss, X, y, t):
+    """Mean of -y x l'(t) over the rows, from the margins t = -y <x, w>."""
+    return ((-y * loss.slope(t)) @ X) / X.shape[0]
 
 
 def _newton(loss, X, y, w0, gtol, max_iter):
-    d = X.shape[1]
+    """Damped Newton with Armijo backtracking. The gradient, the Hessian
+    weights l''(t) and the objective all come from the margins t of the
+    accepted iterate, and the accepted try's margins become the next
+    iterate's: one X @ w pass per try."""
+    n, d = X.shape
     w = np.asarray(w0, dtype=float).copy()
-    g = convex_grad_mean(w, X, y, loss)
+    t = -y * (X @ w)
     for it in range(max_iter):
+        g = _mean_grad(loss, X, y, t)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= gtol:
             return w, gnorm, it
-        H = _hessian(loss, X, y, w) + 1e-12 * np.eye(d)
+        f0 = float(np.mean(loss.value(t)))
+        if loss.kind == "logistic":
+            curve = loss.slope(t)
+            curve *= 1.0 - curve
+        else:  # squared_hinge: l'' = 2 on the active set
+            curve = 2.0 * (t >= -1.0)
+        # one weighted column product per row of H, so no weighted copy of X
+        H = np.stack([(X[:, i] * curve) @ X for i in range(d)]) / n + 1e-12 * np.eye(d)
+        del t, curve  # freed before the tries allocate their margins, which bounds the peak
         step = np.linalg.solve(H, g)
-        f0 = convex_loss_mean(w, X, y, loss)
         decrement = float(g @ step)
         alpha = 1.0
         while alpha > 1e-14:
             w_try = w - alpha * step
-            if convex_loss_mean(w_try, X, y, loss) <= f0 - 1e-4 * alpha * decrement:
+            t = -y * (X @ w_try)
+            if float(np.mean(loss.value(t))) <= f0 - 1e-4 * alpha * decrement:
                 break
             alpha *= 0.5
-        w = w - alpha * step
-        g = convex_grad_mean(w, X, y, loss)
-    return w, float(np.linalg.norm(g)), max_iter
+        else:  # no try accepted: take the last, tiny step
+            w_try = w - alpha * step
+            t = -y * (X @ w_try)
+        w = w_try
+    return w, float(np.linalg.norm(_mean_grad(loss, X, y, t))), max_iter
 
 
 def _subgradient(loss, X, y, w0, gtol, max_iter):
     w = np.asarray(w0, dtype=float).copy()
     best_w, best_norm = w.copy(), np.inf
     for it in range(max_iter):
-        g = convex_grad_mean(w, X, y, loss)
+        g = _mean_grad(loss, X, y, -y * (X @ w))
         gnorm = float(np.linalg.norm(g))
         if gnorm < best_norm:
             best_w, best_norm = w.copy(), gnorm

@@ -27,6 +27,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -35,7 +36,7 @@ from . import __version__
 from . import distributions as dist
 from .baselines import full_batch_minimize
 from .geometry import angle_between, unit_vector
-from .learner import LearnerConfig, derive_seed, learn_batch
+from .learner import LearnerConfig, default_holdout_size, derive_seed, learn_batch
 from .losses import convex_surrogate
 from .noise import far_flip, make_dataset
 from .oracle import UNSUPPORTED_PAIRS, QuadratureSpec, admissible_theta, predicted_floor, scan_cone
@@ -196,6 +197,8 @@ def _learn_groups(cfg) -> tuple:
         eval_size=cfg["eval_size"],
         candidate_stride=cfg["stride"],
     )
+    if lc.holdout_size is None:  # resolved here, so a size that overflows is a config error
+        lc = replace(lc, holdout_size=default_holdout_size(spec.dim, lc.epsilon, lc.delta))
     groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=cfg["theta2"]), opt)
               for opt in cfg["opt_list"]]
     return spec, lc, groups
@@ -300,6 +303,8 @@ _LOWERBOUND_HEADER = [
 
 
 def _lowerbound_groups(cfg) -> list[tuple]:
+    if not 0.0 < cfg["opt"] < 1.0:  # opt = 1 puts the flip radius at 0
+        raise ValueError("opt (the tail mass) must lie in (0, 1)")
     quad = QuadratureSpec(tol=cfg["tol"])
     groups = []
     for kind in cfg["losses"]:

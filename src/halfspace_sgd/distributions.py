@@ -48,7 +48,6 @@ __all__ = [
     "sample",
     "SampleStream",
     "radial_density",
-    "radial_cdf",
     "radial_tail_mass",
     "truncated_first_moment",
     "truncated_second_moment",
@@ -172,11 +171,6 @@ def radial_tail_mass(spec: DistributionSpec, Z):
         a, s = solve_isotropic_params(spec.s)[0], spec.s
         out = a**s * (a + (1.0 + s) * Z) / (a + Z) ** (1.0 + s)
     return float(out) if out.ndim == 0 else out
-
-
-def radial_cdf(spec: DistributionSpec, r):
-    """Pr[||x|| <= r] = 1 - radial_tail_mass."""
-    return 1.0 - radial_tail_mass(spec, r)
 
 
 def truncated_first_moment(spec: DistributionSpec, Z):

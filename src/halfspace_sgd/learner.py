@@ -71,10 +71,10 @@ class LearnerConfig:
             raise ValueError("epsilon must lie in (0, 1)")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if len(self.grid) == 0 or not all(s > 0 for s in self.grid):
-            raise ValueError("sigma grid must be nonempty and positive")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if len(self.grid) == 0 or not all(0.0 < s < math.inf for s in self.grid):
+            raise ValueError("sigma grid must be nonempty, positive and finite")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         for name in ("t_cap", "eval_size", "candidate_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -89,8 +89,15 @@ def c_const_for(spec) -> float:
 
 
 def default_holdout_size(d: int, epsilon: float, delta: float) -> int:
-    """max(1e4, 2 ceil(ln(d/(eps delta))/eps^2))."""
-    return max(10_000, 2 * math.ceil(math.log(d / (epsilon * delta)) / epsilon**2))
+    """max(1e4, 2 ceil(ln(d/(eps delta))/eps^2)); ValueError when that
+    overflows."""
+    try:
+        size = math.log(d / (epsilon * delta)) / epsilon**2
+    except ZeroDivisionError:
+        size = math.inf
+    if not size < math.inf:
+        raise ValueError(f"epsilon = {epsilon:g} and delta = {delta:g} overflow the default holdout size")
+    return max(10_000, 2 * math.ceil(size))
 
 
 def zero_one_errors(W: np.ndarray, dataset) -> np.ndarray:

@@ -8,8 +8,10 @@ conventions:
 * the convex surrogates act on the *unnormalized* margin ``-y <x, w>``
   (the classical objective the lower-bound oracle certifies against).
 
-Gradients are exact and computed over rows: one per (iterate, example) pair
-for the optimizer, the dataset mean for the full-batch baselines.
+The sigmoid surrogate's gradient is exact and computed over rows, one per
+(iterate, example) pair, for the optimizer. The convex surrogates give the
+value and slope of l at given margins; the full-batch baselines take their
+means over a dataset from one margin vector.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ __all__ = [
     "surrogate_grad_rows",
     "ConvexSurrogate",
     "convex_surrogate",
-    "convex_loss_mean",
-    "convex_grad_mean",
 ]
 
 CONVEX_KINDS = ("logistic", "hinge", "squared_hinge")
@@ -117,18 +117,3 @@ def convex_surrogate(kind: str) -> ConvexSurrogate:
     if kind not in CONVEX_KINDS:
         raise ValueError(f"unknown convex surrogate kind {kind!r}; expected one of {CONVEX_KINDS}")
     return ConvexSurrogate(kind)
-
-
-def convex_loss_mean(w, X, y, surrogate: ConvexSurrogate) -> float:
-    """Empirical mean of l(-y <x, w>) over a dataset; the margin is NOT
-    normalized by ||w||."""
-    t = -np.asarray(y, dtype=float) * (np.asarray(X, dtype=float) @ np.asarray(w, dtype=float))
-    return float(np.mean(surrogate.value(t)))
-
-
-def convex_grad_mean(w, X, y, surrogate: ConvexSurrogate) -> np.ndarray:
-    """Empirical mean of -y x l'(-y <x, w>) over a dataset."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = -y * (X @ np.asarray(w, dtype=float))
-    return ((-y * surrogate.slope(t)) @ X) / X.shape[0]

@@ -31,13 +31,14 @@ scan_cone bitwise.
 Truncation: integrals stop at r_max chosen from the closed-form tails so the
 neglected mass contributes less than tol/10 (heavy-tailed families need
 r_max growing like (1/tol)^(1/(s-1))). For the logistic and hinge losses the
-bound does not depend on w, so scan_cone finds r_max once per scan.
+bound does not depend on w, so it is found once per batch; the squared
+hinge's grows with ||w|| and is found per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -56,7 +57,6 @@ __all__ = [
     "admissible_theta",
     "predicted_floor",
     "scan_cone",
-    "grad_monte_carlo",
 ]
 
 ANGLE_MARGIN = 1e-9  # safety margin subtracted from the admissible cone angle
@@ -65,17 +65,16 @@ ANGLE_MARGIN = 1e-9  # safety margin subtracted from the admissible cone angle
 UNSUPPORTED_PAIRS = frozenset({("squared_hinge", "heavy_tailed")})
 _BLOCK_NODES = 1 << 17  # nodes per stacked array pass: bounds a level's temporaries
 _TENSOR_NODES = 16_000_000  # node budget of one 2D tensor cell
+_RADIAL_PANELS = 4  # initial panels of every radial interval
+_ANGULAR_PANELS = 4  # initial panels of every angular interval
+_MAX_DOUBLINGS = 12  # doubling budget of every integral
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Panel-doubling control for the population-gradient integrals."""
+    """Target accuracy of every population-gradient integral."""
 
-    radial_panels: int = 4
-    angular_panels: int = 4
-    r_max: float | None = None  # None: from the closed-form tail at tol/10
     tol: float = 1e-9
-    max_doublings: int = 12
 
     def __post_init__(self):
         if not 0.0 < self.tol < math.inf:
@@ -98,15 +97,11 @@ class ConeScanReport:
     max_quad_error: float
 
 
-def _loss_linf_slope(loss: ConvexSurrogate) -> float | None:
-    return 1.0 if loss.kind in ("logistic", "hinge") else None
-
-
 def _auto_r_max(loss: ConvexSurrogate, spec, rho: float, tol: float) -> float:
     """Truncation radius: neglected tail contributes <= tol/10 to the gradient."""
     if (loss.kind, spec.family) in UNSUPPORTED_PAIRS:
         raise NotImplementedError(f"the {loss.kind} oracle is not implemented for the {spec.family} family")
-    if _loss_linf_slope(loss) is not None:
+    if loss.kind in ("logistic", "hinge"):
         # |grad tail| <= E[1{r >= R} r] since l' <= 1
         def bound(R):
             return dist.truncated_first_moment(spec, R)
@@ -226,7 +221,7 @@ def _angular_integrand(loss, spec, params, phi):
     return (-y * s) * inner
 
 
-def _tensor_level(spec, quad, rows, k):
+def _tensor_level(spec, tol, rows, k):
     """Second-coordinate logistic integrals at doubling level k, one per row
     (y, rho, p1, p2, ra, rb), by a tensor Gauss rule over r in [ra, rb] and
     phi in [p1, p2].
@@ -238,10 +233,10 @@ def _tensor_level(spec, quad, rows, k):
     one matmul against (b, |b|). The value is a^T S b; as S > 0 and a >= 0,
     the roundoff sum is a^T S |b|.
     """
-    pr, pa = quad.radial_panels << k, quad.angular_panels << k
+    pr, pa = _RADIAL_PANELS << k, _ANGULAR_PANELS << k
     nr, npts = GL_ORDER * pr, GL_ORDER * pa
     if nr * npts > _TENSOR_NODES:  # node budget: fail loudly, not slowly
-        raise QuadratureError(f"2D tensor rule did not reach tol={quad.tol:g} within 16M nodes")
+        raise QuadratureError(f"2D tensor rule did not reach tol={tol:g} within 16M nodes")
     y, rho, p1, p2, ra, rb = rows.T
     rn, rw = gl_panels(ra, rb, pr, ra > 0.0)
     pn, pw = gl_panels(p1, p2, pa, False)
@@ -270,7 +265,7 @@ class _Rule(NamedTuple):
     name: Callable
 
 
-def _integrate(rules, quad) -> list[tuple[np.ndarray, np.ndarray]]:
+def _integrate(rules, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
     """(values, errors) of every row of every rule, from one
     refine_by_doubling call: each doubling level evaluates the rows that have
     not converged, rule by rule, in stacked array passes."""
@@ -291,7 +286,7 @@ def _integrate(rules, quad) -> list[tuple[np.ndarray, np.ndarray]]:
         j = int(np.searchsorted(bounds, i, side="right")) - 1
         return rules[j].name(rules[j].rows[i - bounds[j]])
 
-    values, errors = refine_by_doubling(estimate, quad.tol, quad.max_doublings, where, active)
+    values, errors = refine_by_doubling(estimate, tol, _MAX_DOUBLINGS, where, active)
     return [(values[lo:hi], errors[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -302,17 +297,21 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
     Every sector x annulus x kink-split piece of every point is integrated
     in one refine_by_doubling call. A piece's arithmetic depends on that
     piece alone and each point sums its pieces in a fixed order, so a point's
-    row does not depend on the other points, bitwise.
+    row does not depend on the other points, bitwise. The truncation radius
+    is found once per call, or per point for the squared hinge, whose tail
+    bound grows with ||w||.
     """
     Z = model.Z if model.kind == "far_flip" else math.inf
     radial, second = [], []  # parameter rows of the two coordinates' rules
     radial_at, second_at = [], []  # 2 * point + (1 if the piece lies in S)
     shifts = []
+    r_max = None
     for i, w in enumerate(ws):
         rho = float(np.linalg.norm(w))
         frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
         shifts.append(frame_shift)
-        r_max = quad.r_max if quad.r_max is not None else _auto_r_max(loss, spec, rho, quad.tol)
+        if r_max is None or loss.kind == "squared_hinge":
+            r_max = _auto_r_max(loss, spec, rho, quad.tol)
         annuli = [(0.0, r_max, False)] if Z >= r_max else [(0.0, Z, False), (Z, r_max, True)]
         brk = _sector_break_angles(model, frame_shift).tolist()
         for p1, p2 in zip(brk, brk[1:] + [brk[0] + 2.0 * math.pi]):
@@ -333,16 +332,16 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
                     second_at.append(at)
 
     if loss.kind == "logistic":
-        second_rule = _Rule(np.array(second), partial(_tensor_level, spec, quad), lambda row: (
+        second_rule = _Rule(np.array(second), partial(_tensor_level, spec, quad.tol), lambda row: (
             f"the 2D tensor rule over r in [{row[4]:g}, {row[5]:g}], phi in [{row[2]:g}, {row[3]:g}]"))
     else:
         second_rule = _Rule(np.array(second), partial(
-            _line_level, partial(_angular_integrand, loss, spec), False, quad.angular_panels),
+            _line_level, partial(_angular_integrand, loss, spec), False, _ANGULAR_PANELS),
             lambda row: f"phi in [{row[0]:g}, {row[1]:g}]")
     radial_rule = _Rule(np.array(radial), partial(
-        _line_level, partial(_radial_integrand, loss, spec), True, quad.radial_panels),
+        _line_level, partial(_radial_integrand, loss, spec), True, _RADIAL_PANELS),
         lambda row: f"r in [{row[0]:g}, {row[1]:g}]")
-    (v1, e1), (v2, e2) = _integrate([radial_rule, second_rule], quad)
+    (v1, e1), (v2, e2) = _integrate([radial_rule, second_rule], quad.tol)
 
     n = len(shifts)
     parts = np.zeros((2 * n, 2))  # w-frame gradient over S^c (even rows) and S (odd rows)
@@ -413,9 +412,6 @@ def scan_cone(loss: ConvexSurrogate, spec, Z: float, theta: float, grid_points: 
     w_star = np.array([0.0, 1.0])
     model = far_flip(w_star, Z=Z, theta2=2.0 * theta)
     angles = np.linspace(-theta, theta, grid_points) if grid_points > 1 else np.array([0.0])
-    if quad.r_max is None and _loss_linf_slope(loss) is not None:
-        # the logistic/hinge truncation radius does not depend on w
-        quad = replace(quad, r_max=_auto_r_max(loss, spec, 1.0, quad.tol))
     ws = [rotate2d(w_star, float(ang)) for ang in angles]
     grads, errors, _, _ = _gradients(loss, spec, model, ws, quad)
     norms = [float(np.linalg.norm(g)) for g in grads]
@@ -432,17 +428,3 @@ def scan_cone(loss: ConvexSurrogate, spec, Z: float, theta: float, grid_points: 
         argmin_angle=float(angles[best]),
         max_quad_error=float(np.max(errors)),
     )
-
-
-def grad_monte_carlo(loss: ConvexSurrogate, w, spec, model: NoiseModel, n: int, seed: int):
-    """Monte-Carlo estimate of grad C(w) with per-coordinate standard errors;
-    the independent cross-check for the quadrature."""
-    from .geometry import halfspace_labels
-    from .noise import corrupt_labels
-
-    X = dist.sample(spec, n, seed)
-    clean = halfspace_labels(model.w_star, X)
-    y, _ = corrupt_labels(model, X, clean)
-    t = -y * (X @ np.asarray(w, dtype=float))
-    G = (-y * loss.slope(t))[:, None] * X
-    return G.mean(axis=0), G.std(axis=0, ddof=1) / math.sqrt(n)

@@ -12,6 +12,7 @@ from halfspace_sgd import distributions as dist
 from halfspace_sgd import oracle
 from halfspace_sgd.geometry import halfspace_labels, rotate2d
 from halfspace_sgd.losses import sigmoid, surrogate_grad_rows
+from halfspace_sgd.noise import corrupt_labels
 from halfspace_sgd.quadrature import gl_panels, refine_by_doubling
 
 
@@ -199,7 +200,7 @@ def _tensor_cell(loss, spec, rho, y, p1, p2, ra, rb, quad):
     """One logistic second-coordinate cell by the elementwise 2D tensor rule."""
 
     def estimate(k):
-        pr, pa = quad.radial_panels << k, quad.angular_panels << k
+        pr, pa = oracle._RADIAL_PANELS << k, oracle._ANGULAR_PANELS << k
         rn, rw = gl_panels([ra], [rb], pr, ra > 0.0)
         pn, pw = gl_panels([p1], [p2], pa, False)
         rn, rw, pn, pw = rn[0], rw[0], pn[0], pw[0]
@@ -208,7 +209,7 @@ def _tensor_cell(loss, spec, rho, y, p1, p2, ra, rb, quad):
         f = (rn * dist.radial_density(spec, rn) * rn * rw)[:, None] * (-y * s * pw)[None, :] * loss.slope(t)
         return np.array([f.sum()]), np.array([np.abs(f).sum()]), f.size, np.array([f.size])
 
-    values, errors = refine_by_doubling(estimate, quad.tol, quad.max_doublings, lambda i: "the tensor cell",
+    values, errors = refine_by_doubling(estimate, quad.tol, oracle._MAX_DOUBLINGS, lambda i: "the tensor cell",
                                         np.ones(1, dtype=bool))
     return float(values[0]), float(errors[0])
 
@@ -221,7 +222,7 @@ def reference_population_grad(loss, w, spec, model, quad):
     w = np.asarray(w, dtype=float)
     rho = float(np.linalg.norm(w))
     frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
-    r_max = quad.r_max if quad.r_max is not None else oracle._auto_r_max(loss, spec, rho, quad.tol)
+    r_max = oracle._auto_r_max(loss, spec, rho, quad.tol)
     Z = model.Z if model.kind == "far_flip" else math.inf
     annuli = [(0.0, r_max, False)] if Z >= r_max else [(0.0, Z, False), (Z, r_max, True)]
     brk = oracle._sector_break_angles(model, frame_shift).tolist()
@@ -247,16 +248,85 @@ def reference_population_grad(loss, w, spec, model, quad):
                 return (-y * s) * inner
 
             for a, b in oracle._split_at(oracle._radial_kinks(loss, rho, y, s1, s2), ra, rb):
-                v, e = integrate_refining(radial, a, b, quad.tol, quad.radial_panels, quad.max_doublings,
+                v, e = integrate_refining(radial, a, b, quad.tol, oracle._RADIAL_PANELS, oracle._MAX_DOUBLINGS,
                                           geometric=a > 0.0)
                 grad[0] += v
                 err += e
             if loss.kind == "logistic":
                 pieces = [_tensor_cell(loss, spec, rho, y, p1, p2, ra, rb, quad)]
             else:
-                pieces = [integrate_refining(angular, a, b, quad.tol, quad.angular_panels, quad.max_doublings)
+                pieces = [integrate_refining(angular, a, b, quad.tol, oracle._ANGULAR_PANELS, oracle._MAX_DOUBLINGS)
                           for a, b in oracle._split_at(oracle._angular_kinks(rho, y, ra, rb), p1, p2)]
             for v, e in pieces:
                 grad[1] += v
                 err += e
     return rotate2d(grad, frame_shift), err
+
+
+def grad_monte_carlo(loss, w, spec, model, n: int, seed: int):
+    """Monte-Carlo estimate of the population gradient E[-y x l'(-y <x, w>)]
+    with per-coordinate standard errors; the independent cross-check for the
+    oracle's quadrature."""
+    X = dist.sample(spec, n, seed)
+    y, _ = corrupt_labels(model, X, halfspace_labels(model.w_star, X))
+    t = -y * (X @ np.asarray(w, dtype=float))
+    G = (-y * loss.slope(t))[:, None] * X
+    return G.mean(axis=0), G.std(axis=0, ddof=1) / math.sqrt(n)
+
+
+def radial_cdf(spec, r):
+    """Pr[||x|| <= r] = 1 - radial_tail_mass."""
+    return 1.0 - dist.radial_tail_mass(spec, r)
+
+
+def convex_loss_mean(w, X, y, surrogate) -> float:
+    """Empirical mean of l(-y <x, w>) over a dataset; the margin is NOT
+    normalized by ||w||."""
+    t = -np.asarray(y, dtype=float) * (np.asarray(X, dtype=float) @ np.asarray(w, dtype=float))
+    return float(np.mean(surrogate.value(t)))
+
+
+def convex_grad_mean(w, X, y, surrogate) -> np.ndarray:
+    """Empirical mean of -y x l'(-y <x, w>) over a dataset."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    t = -y * (X @ np.asarray(w, dtype=float))
+    return ((-y * surrogate.slope(t)) @ X) / X.shape[0]
+
+
+def convex_hessian_mean(w, X, y, surrogate) -> np.ndarray:
+    """Mean of l''(-y <x, w>) x x^T for the smooth losses, one weighted
+    column product per row of the d x d result."""
+    t = -y * (X @ w)
+    if surrogate.kind == "logistic":
+        p = surrogate.slope(t)
+        curve = p * (1.0 - p)
+    else:  # squared_hinge: l'' = 2 on the active set
+        curve = 2.0 * (t >= -1.0)
+    return np.stack([(X[:, i] * curve) @ X for i in range(X.shape[1])]) / X.shape[0]
+
+
+def reference_newton(loss, X, y, w0, gtol: float = 1e-6, max_iter: int = 500):
+    """(w, grad_norm, iterations) of damped Newton with Armijo backtracking,
+    each quantity recomputed from w by the oracles above (a margin pass per
+    gradient, Hessian, objective and try); the reference for the Newton
+    branch of baselines.full_batch_minimize."""
+    d = X.shape[1]
+    w = np.asarray(w0, dtype=float).copy()
+    g = convex_grad_mean(w, X, y, loss)
+    for it in range(max_iter):
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= gtol:
+            return w, gnorm, it
+        H = convex_hessian_mean(w, X, y, loss) + 1e-12 * np.eye(d)
+        step = np.linalg.solve(H, g)
+        f0 = convex_loss_mean(w, X, y, loss)
+        decrement = float(g @ step)
+        alpha = 1.0
+        while alpha > 1e-14:
+            if convex_loss_mean(w - alpha * step, X, y, loss) <= f0 - 1e-4 * alpha * decrement:
+                break
+            alpha *= 0.5
+        w = w - alpha * step
+        g = convex_grad_mean(w, X, y, loss)
+    return w, float(np.linalg.norm(g)), max_iter

@@ -1,6 +1,7 @@
 """The public surface resolves: every module's __all__, every name the
 package __init__ imports, and every (module, attribute) pair the benchmark's
-tracer wraps (bench/spans.py TARGETS)."""
+tracer wraps (bench/spans.py TARGETS). Every exported name is used by the
+package itself, so test-only forms stay in tests/helpers.py."""
 
 import ast
 import importlib
@@ -40,6 +41,28 @@ def test_package_imports_resolve():
     for module_name, attr in imported:
         module = importlib.import_module(f"halfspace_sgd.{module_name}")
         assert getattr(module, attr) is getattr(halfspace_sgd, attr), (module_name, attr)
+
+
+def test_every_exported_name_is_used_in_the_package():
+    # a name in a module's __all__ must be read somewhere in src/ (a name or
+    # an attribute, not its own def/class or __all__ entry) or be imported by
+    # __init__; otherwise it is test-only API and belongs in tests/helpers.py
+    trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "halfspace_sgd").glob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    used.update(alias.name for node in ast.walk(trees["__init__"]) if isinstance(node, ast.ImportFrom)
+                for alias in node.names)
+    unused = []
+    for module_name, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                unused += [f"{module_name}.{name}" for name in ast.literal_eval(node.value) if name not in used]
+    assert unused == []
 
 
 def test_bench_trace_targets_resolve():

@@ -4,9 +4,10 @@ import pytest
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.baselines import full_batch_minimize
 from halfspace_sgd.geometry import angle_between, unit_vector
-from halfspace_sgd.losses import convex_grad_mean, convex_surrogate
+from halfspace_sgd.losses import convex_surrogate
 from halfspace_sgd.noise import far_flip, make_dataset
 from halfspace_sgd.oracle import admissible_theta
+from helpers import convex_grad_mean, reference_newton
 
 E2 = unit_vector(2, 1)
 
@@ -32,6 +33,28 @@ def test_newton_heavy_tail_logistic():
     w, gnorm, _ = full_batch_minimize(convex_surrogate("logistic"), ds.x, ds.y, w0=E2)
     assert gnorm <= 1e-6
     assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 500])
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_newton_margins_track_the_iterate(kind, max_iter):
+    # Newton reuses the accepted try's margins for the next gradient, Hessian
+    # and objective; the reported norm must be that of the gradient
+    # recomputed at the returned w, and the run must equal the reference
+    # that recomputes every margin pass, bitwise (max_iter = 500 converges).
+    # From w0 = (5, -5) the logistic runs reject Armijo tries on the way.
+    loss = convex_surrogate(kind)
+    ds = _noisy_dataset(dist.heavy_tailed(3.0), 0.01, 100_000, seed=8)
+    w0 = np.array([5.0, -5.0])
+    w, gnorm, iters = full_batch_minimize(loss, ds.x, ds.y, w0=w0, max_iter=max_iter)
+    assert gnorm == float(np.linalg.norm(convex_grad_mean(w, ds.x, ds.y, loss)))
+    if max_iter < 500:
+        assert iters == max_iter
+    else:
+        assert gnorm <= 1e-6 and iters < max_iter
+    w_ref, gnorm_ref, iters_ref = reference_newton(loss, ds.x, ds.y, w0, max_iter=max_iter)
+    np.testing.assert_array_equal(w, w_ref)
+    assert (gnorm, iters) == (gnorm_ref, iters_ref)
 
 
 def test_minimize_deterministic():

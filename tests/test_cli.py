@@ -118,10 +118,15 @@ def test_malformed_line_exits_2(tmp_path):
     ("lowerbound", TINY_LOWERBOUND + "tol = nan\n", [], "tol must be finite and > 0"),
     ("compare", TINY_COMPARE + "gtol = -1\n", [], "gtol must be finite and > 0"),
     ("compare", TINY_COMPARE + "gtol = nan\n", [], "gtol must be finite and > 0"),
+    ("learn", TINY_LEARN + "rho = inf\n", [], "rho must be positive and finite"),
+    ("learn", TINY_LEARN + "grid = inf, 0.1\n", [], "sigma grid must be nonempty, positive and finite"),
+    ("lowerbound", TINY_LOWERBOUND + "opt = 1\n", [], "opt (the tail mass) must lie in (0, 1)"),
+    ("learn", TINY_LEARN + "holdout_size = 0\nepsilon = 1e-200\n", [], "overflow the default holdout size"),
 ], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2",
         "squared-hinge-heavy", "d-1", "stride-0", "t_cap-0", "eval_size-0", "holdout_size-neg",
         "grid-neg", "theta2-1", "epsilon-2", "rho-neg", "rho-0", "conv_n-0", "holdout_k-0",
-        "grid_points-0", "opt-0", "tol-0", "tol-nan", "gtol-neg", "gtol-nan"])
+        "grid_points-0", "opt-0", "tol-0", "tol-nan", "gtol-neg", "gtol-nan", "rho-inf", "grid-inf",
+        "opt-1", "epsilon-tiny-default-holdout"])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flags, needle):
     out = tmp_path / "o.csv"
     cfg = _write(tmp_path / "c.txt", text)

@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from halfspace_sgd import baselines
 from halfspace_sgd.geometry import project_to_sphere
-from halfspace_sgd.losses import (
-    convex_grad_mean,
-    convex_loss_mean,
-    convex_surrogate,
-    sigmoid,
-    sigmoid_slope,
-    surrogate_grad_rows,
-)
-from helpers import surrogate_grad_sample, surrogate_loss_sample
+from halfspace_sgd.losses import convex_surrogate, sigmoid, sigmoid_slope, surrogate_grad_rows
+from helpers import convex_grad_mean, convex_loss_mean, surrogate_grad_sample, surrogate_loss_sample
 
 
 def convex_loss_sample(w, x, y, surrogate):
@@ -300,3 +294,6 @@ def test_convex_grad_mean_matches_loop():
     y = np.where(rng.random(100) < 0.5, 1.0, -1.0)
     loop = np.mean([-yy * logistic.slope(-yy * float(x @ w)) * x for x, yy in zip(X, y)], axis=0)
     np.testing.assert_allclose(convex_grad_mean(w, X, y, logistic), loop, atol=1e-14)
+    # the baselines' gradient from margins is the same arithmetic
+    np.testing.assert_array_equal(baselines._mean_grad(logistic, X, y, -y * (X @ w)),
+                                  convex_grad_mean(w, X, y, logistic))

@@ -14,13 +14,12 @@ from halfspace_sgd.oracle import (
     QuadratureSpec,
     admissible_theta,
     convex_population_grad,
-    grad_monte_carlo,
     predicted_floor,
     scan_cone,
 )
 from halfspace_sgd.quadrature import QuadratureError, gl_panels
 import helpers
-from helpers import integrate_refining, reference_population_grad, transverse_axis
+from helpers import grad_monte_carlo, integrate_refining, reference_population_grad, transverse_axis
 
 E2 = unit_vector(2, 1)
 LOGISTIC = convex_surrogate("logistic")
@@ -66,21 +65,21 @@ def test_integrate_refining_tol_below_roundoff_raises_at_once():
     assert len(calls) == 1  # no doubling budget spent on an unreachable tol
 
 
-def _tensor_cells(spec, rows, quad):
+def _tensor_cells(spec, rows, tol):
     """(values, errors) of logistic tensor cells (y, rho, p1, p2, ra, rb)
     through the oracle's batched integration."""
-    rule = oracle._Rule(np.array(rows, dtype=float), partial(oracle._tensor_level, spec, quad), str)
-    return oracle._integrate([rule], quad)[0]
+    rule = oracle._Rule(np.array(rows, dtype=float), partial(oracle._tensor_level, spec, tol), str)
+    return oracle._integrate([rule], tol)[0]
 
 
 def test_tensor_rule_error_floored_and_unreachable_tol_raises():
     spec = dist.gaussian(2)
     cell = [(1.0, 1.0, 0.2, 1.3, 0.0, 3.0)]
-    (v,), (err,) = _tensor_cells(spec, cell, QuadratureSpec(tol=1e-12))
+    (v,), (err,) = _tensor_cells(spec, cell, 1e-12)
     assert err > 0.0
     assert err >= np.finfo(float).eps * abs(v)
     with pytest.raises(QuadratureError, match="below the roundoff floor"):
-        _tensor_cells(spec, cell, QuadratureSpec(tol=1e-18))
+        _tensor_cells(spec, cell, 1e-18)
 
 
 @pytest.mark.parametrize("k", [0, 1, 3])
@@ -89,13 +88,13 @@ def test_factored_tensor_rule_matches_elementwise_sum(k):
     # the elementwise integrand on the same nodes; k = 3 cells exceed one
     # stacked block, so they are also split along r
     spec = dist.heavy_tailed(3.0)
-    quad = QuadratureSpec()
+    pr, pa = oracle._RADIAL_PANELS << k, oracle._ANGULAR_PANELS << k
     rows = np.array([(1.0, 1.0, 0.2, 1.3, 0.0, 3.0), (-1.0, 2.5, 3.4, 4.6, 0.7, 40.0)])
-    values, abs_sums, size = oracle._tensor_level(spec, quad, rows, k)
-    assert size == (16 * quad.radial_panels << k) * (16 * quad.angular_panels << k)
+    values, abs_sums, size = oracle._tensor_level(spec, 1e-9, rows, k)
+    assert size == (16 * pr) * (16 * pa)
     for (y, rho, p1, p2, ra, rb), v, a in zip(rows, values, abs_sums):
-        rn, rw = gl_panels([ra], [rb], quad.radial_panels << k, ra > 0.0)
-        pn, pw = gl_panels([p1], [p2], quad.angular_panels << k, False)
+        rn, rw = gl_panels([ra], [rb], pr, ra > 0.0)
+        pn, pw = gl_panels([p1], [p2], pa, False)
         s = np.sin(pn[0])
         t = -y * rho * rn[0][:, None] * s[None, :]
         f = (rn[0] ** 2 * dist.radial_density(spec, rn[0]) * rw[0])[:, None] * (-y * s * pw[0]) * LOGISTIC.slope(t)
@@ -212,15 +211,16 @@ def test_gradient_rotates_with_w_and_wstar(kind, family, opt, alpha, offset, rho
     assert float(np.linalg.norm(g_rot - rotate2d(g, alpha))) <= err + err_rot
 
 
-def test_gradient_stable_under_finer_initial_panels():
+def test_gradient_stable_under_finer_initial_panels(monkeypatch):
     spec = dist.log_concave()
     model, Z, theta = _standard_model(spec)
     w = rotate2d(E2, 0.5 * theta)
     tol = 1e-9
     g1, _, _ = convex_population_grad(LOGISTIC, w, spec, model, QuadratureSpec(tol=tol))
-    g2, _, _ = convex_population_grad(
-        LOGISTIC, w, spec, model, QuadratureSpec(radial_panels=8, angular_panels=8, tol=tol)
-    )
+    monkeypatch.setattr(oracle, "_RADIAL_PANELS", 8)
+    monkeypatch.setattr(oracle, "_ANGULAR_PANELS", 8)
+    g2, _, _ = convex_population_grad(LOGISTIC, w, spec, model, QuadratureSpec(tol=tol))
+    assert not np.array_equal(g1, g2)  # the finer panels were used
     assert np.all(np.abs(g1 - g2) <= 10 * tol)
 
 
