@@ -95,7 +95,6 @@ _SCHEMAS = {
         "t_cap": (int, 200_000),
         "grid": (_float_list, (0.06, 0.03, 0.015)),
         "holdout_k": (float, 2000.0),
-        "holdout_cap": (int, 2_500_000),
         "eval_size": (int, 200_000),
         "rho": (float, 1.0),
         "stride": (int, 250),
@@ -141,6 +140,15 @@ def parse_config(path: str, command: str) -> dict:
 
 def _make_spec(family: str, d: int, s: float):
     return dist.DistributionSpec(family, d, s if family == "heavy_tailed" else None)
+
+
+def _check_rows(d: int, **sizes) -> None:
+    """ValueError for a row count whose (n, d) float64 array is larger than
+    numpy can index; a count below that may still not fit in memory."""
+    limit = np.iinfo(np.intp).max // (8 * d)
+    for key, n in sizes.items():
+        if n > limit:
+            raise ValueError(f"{key} = {n} rows of dimension {d} exceed the largest array numpy can index")
 
 
 def _fmt(v) -> str:
@@ -199,6 +207,7 @@ def _learn_groups(cfg) -> tuple:
     )
     if lc.holdout_size is None:  # resolved here, so a size that overflows is a config error
         lc = replace(lc, holdout_size=default_holdout_size(spec.dim, lc.epsilon, lc.delta))
+    _check_rows(spec.dim, holdout_size=lc.holdout_size, eval_size=lc.eval_size)
     groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=cfg["theta2"]), opt)
               for opt in cfg["opt_list"]]
     return spec, lc, groups
@@ -242,6 +251,8 @@ def _report_rows(reports, timing: bool, per_sigma_rows: bool) -> list[list]:
 # compare
 # ---------------------------------------------------------------------------
 
+_HOLDOUT_CAP = 2_500_000  # compare's holdout is min(_HOLDOUT_CAP, ceil(holdout_k / opt))
+
 _COMPARE_HEADER = [
     "family", "opt", "loss", "seed", "sigmoid_angle", "sigmoid_err01",
     "sigma_best", "convex_angle", "convex_grad_norm", "predicted_floor",
@@ -251,6 +262,10 @@ _COMPARE_HEADER = [
 def _compare_groups(cfg, seeds) -> list[tuple]:
     if not 0.0 < cfg["gtol"] < math.inf:
         raise ValueError("gtol must be finite and > 0")
+    if not cfg["losses"]:
+        raise ValueError("losses must be nonempty")
+    if not cfg["holdout_k"] < math.inf:  # inf and nan have no ceil
+        raise ValueError("holdout_k must be finite")
     spec = _make_spec(cfg["family"], 2, cfg["s"])
     losses = [convex_surrogate(kind) for kind in cfg["losses"]]
     w_star = unit_vector(2, 1)
@@ -262,10 +277,11 @@ def _compare_groups(cfg, seeds) -> list[tuple]:
             grid=tuple(cfg["grid"]),
             t_cap=cfg["t_cap"],
             rho=cfg["rho"],
-            holdout_size=min(cfg["holdout_cap"], int(math.ceil(cfg["holdout_k"] / opt))),
+            holdout_size=min(_HOLDOUT_CAP, int(math.ceil(cfg["holdout_k"] / opt))),
             eval_size=cfg["eval_size"],
             candidate_stride=cfg["stride"],
         )
+        _check_rows(spec.dim, holdout_size=lc.holdout_size, eval_size=lc.eval_size, conv_n=cfg["conv_n"])
         conv_seed = derive_seed(cfg["seed_base"], 700, k)
         groups.append((spec, model, lc, losses, opt, predicted_floor(spec, opt), seeds,
                        cfg["conv_n"], conv_seed, cfg["gtol"]))
@@ -409,6 +425,8 @@ def main(argv=None) -> int:
         for key in ("seeds", "conv_n", "grid_points"):
             if key in cfg and cfg[key] < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        if cfg.get("seed_base", 0) < 0:
+            raise ConfigError("seed_base must be >= 0")
         try:
             header, run = _build_groups(args.command, cfg, args.timing)
         except ValueError as exc:

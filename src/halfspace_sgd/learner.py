@@ -29,8 +29,8 @@ import numpy as np
 
 from . import distributions as dist
 from .geometry import angle_between
-from .noise import NoiseModel, make_dataset
-from .optimizer import NoisyExampleStream, PsgdConfig, batch_grad_norms, psgd_lockstep
+from .noise import NoiseModel, NoisyExampleStream, make_dataset
+from .optimizer import PsgdConfig, batch_grad_norms, psgd_lockstep
 
 __all__ = [
     "LearnerConfig",

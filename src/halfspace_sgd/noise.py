@@ -1,7 +1,10 @@
-"""Label-generation rules: clean halfspace labels and the far-flip adversary.
+"""The one label rule, corrupt_labels, and the two example sources built on it.
 
-Both rules are deterministic functions of (w*, x): labels carry no
-randomness of their own, so a dataset is fixed by its points.
+Every dataset (make_dataset), every PSGD stream (NoisyExampleStream) and
+every piece of the quadrature oracle is labeled by corrupt_labels. Labels
+are a deterministic function of (w*, x): they carry no randomness of their
+own, so a dataset is fixed by its points. Clean labels are the far-flip rule
+with Z = inf, whose flip set is empty.
 
 The far-flip construction corrupts a clean homogeneous halfspace w* by
 flipping every label in S \\ C, where
@@ -29,11 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distributions import SampleStream, sample
 from .geometry import halfspace_labels, project_to_sphere, rotate2d
 
 __all__ = [
     "NoiseModel",
     "LabeledDataset",
+    "NoisyExampleStream",
     "clean_labels",
     "far_flip",
     "corrupt_labels",
@@ -43,22 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Rule mapping (w*, x, clean label) to the observed label."""
+    """The far-flip rule's parameters: w*, the tilt and the flip radius."""
 
-    kind: str                      # "clean" | "far_flip"
     w_star: np.ndarray
-    theta2: float = 0.0            # far_flip: angle from w* to w_tilde, in (0, pi/4]
-    Z: float = math.inf            # far_flip: flip radius
-    w_tilde: np.ndarray = field(default=None, repr=False)
-    w_perp: np.ndarray = field(default=None, repr=False)
+    theta2: float                  # angle from w* to w_tilde, in (0, pi/4]
+    Z: float                       # flip radius; inf flips nothing
+    w_tilde: np.ndarray = field(repr=False)
+    w_perp: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.w_star.shape[0]
-
-
-def clean_labels(w_star) -> NoiseModel:
-    return NoiseModel("clean", project_to_sphere(w_star))
 
 
 def _tilt_frame(w_star: np.ndarray, theta2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -91,26 +91,22 @@ def far_flip(w_star, Z: float, theta2: float) -> NoiseModel:
     if not Z > 0.0:
         raise ValueError("far_flip needs Z > 0")
     w_tilde, w_perp = _tilt_frame(w_star, theta2)
-    return NoiseModel(
-        "far_flip", w_star, theta2=float(theta2), Z=float(Z), w_tilde=w_tilde, w_perp=w_perp
-    )
+    return NoiseModel(w_star, theta2=float(theta2), Z=float(Z), w_tilde=w_tilde, w_perp=w_perp)
 
 
-def _memberships(model: NoiseModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def clean_labels(w_star) -> NoiseModel:
+    """The far-flip rule with no flip radius: sign(<w*, x>) for every x."""
+    return far_flip(w_star, Z=math.inf, theta2=math.pi / 4.0)
+
+
+def corrupt_labels(model: NoiseModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(observed labels, flip mask) of the rows of X: sign(<w*, x>), flipped
+    on S \\ C."""
+    clean = halfspace_labels(model.w_star, X)
     in_s = np.sqrt(np.sum(X * X, axis=1)) >= model.Z
     in_c = (X @ model.w_star) * (X @ model.w_perp) <= 0.0
-    return in_c, in_s
-
-
-def corrupt_labels(model: NoiseModel, X: np.ndarray, clean_y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Observed labels for the rows of X given their clean labels; returns
-    (observed labels, flip mask)."""
-    if model.kind == "far_flip":
-        in_c, in_s = _memberships(model, X)
-        flip = in_s & ~in_c
-    else:
-        flip = np.zeros(X.shape[0], dtype=bool)
-    return np.where(flip, -clean_y, clean_y), flip
+    flip = in_s & ~in_c
+    return np.where(flip, -clean, clean), flip
 
 
 @dataclass
@@ -137,13 +133,27 @@ class LabeledDataset:
         return float(np.mean(self.flipped))
 
 
-def make_dataset(spec, model: NoiseModel, n: int, seed: int) -> LabeledDataset:
-    """Sample n points, label with w*, then corrupt; deterministic per seed."""
-    from .distributions import sample
-
+def _check_dims(spec, model: NoiseModel) -> None:
     if spec.dim != model.dim:
         raise ValueError(f"dimension mismatch: spec d={spec.dim}, noise d={model.dim}")
+
+
+def make_dataset(spec, model: NoiseModel, n: int, seed: int) -> LabeledDataset:
+    """n sampled points labeled by corrupt_labels; deterministic per seed."""
+    _check_dims(spec, model)
     X = sample(spec, n, seed)
-    clean = halfspace_labels(model.w_star, X)
-    y, flip = corrupt_labels(model, X, clean)
-    return LabeledDataset(X, y, flip)
+    return LabeledDataset(X, *corrupt_labels(model, X))
+
+
+class NoisyExampleStream:
+    """Seeded stream of labeled examples: marginal samples labeled by
+    corrupt_labels."""
+
+    def __init__(self, spec, model: NoiseModel, seed: int):
+        _check_dims(spec, model)
+        self.model = model
+        self._points = SampleStream(spec, seed)
+
+    def take(self, k: int):
+        X = self._points.take(k)
+        return X, corrupt_labels(self.model, X)[0]

@@ -21,7 +21,6 @@ from .losses import sigmoid_slope, surrogate_grad_rows
 
 __all__ = [
     "PsgdConfig",
-    "NoisyExampleStream",
     "psgd_lockstep",
     "batch_grad_norms",
 ]
@@ -139,23 +138,3 @@ def batch_grad_norms(iterates: np.ndarray, dataset, sigma: float, batch: int) ->
     G = C.T @ X - (np.einsum("ij,ij->j", C, H) / norms)[:, None] * iterates
     return np.linalg.norm(G, axis=1) / X.shape[0]
 
-
-class NoisyExampleStream:
-    """Seeded stream of labeled examples: marginal samples + noise model."""
-
-    def __init__(self, spec, model, seed: int):
-        from .distributions import SampleStream
-
-        if spec.dim != model.dim:
-            raise ValueError(f"dimension mismatch: spec d={spec.dim}, noise d={model.dim}")
-        self.model = model
-        self._points = SampleStream(spec, seed)
-
-    def take(self, k: int):
-        from .geometry import halfspace_labels
-        from .noise import corrupt_labels
-
-        X = self._points.take(k)
-        clean = halfspace_labels(self.model.w_star, X)
-        y, _ = corrupt_labels(self.model, X, clean)
-        return X, y

@@ -3,9 +3,11 @@ under the far-flip construction, and the cone certification built on it.
 
 The observed label is constant on angular sectors cut by the w*-boundary
 rays and the w_tilde line, and constant in radius on either side of the flip
-radius Z. Working in the frame where the query point w sits on the positive
-second axis (w = rho * e2), the first gradient coordinate of each
-sector-by-annulus cell reduces exactly to a radial integral,
+radius Z; each such piece takes the label noise.corrupt_labels gives its
+midpoint, so the oracle and the datasets share one label rule. Working in
+the frame where the query point w sits on the positive second axis
+(w = rho * e2), the first gradient coordinate of each sector-by-annulus cell
+reduces exactly to a radial integral,
 
     (1/rho) * int r gamma(r) [ l(-y rho r sin phi2) - l(-y rho r sin phi1) ] dr,
 
@@ -47,7 +49,7 @@ import numpy as np
 from . import distributions as dist
 from .geometry import rotate2d
 from .losses import ConvexSurrogate
-from .noise import NoiseModel, far_flip
+from .noise import NoiseModel, corrupt_labels, far_flip
 from .quadrature import GL_ORDER, QuadratureError, gl_panels, refine_by_doubling
 
 __all__ = [
@@ -119,22 +121,10 @@ def _auto_r_max(loss: ConvexSurrogate, spec, rho: float, tol: float) -> float:
 def _sector_break_angles(model: NoiseModel, frame_shift: float) -> np.ndarray:
     """Label-change angles in the w-frame: w*-boundary rays and the w_tilde line."""
     a_star = math.atan2(model.w_star[1], model.w_star[0])
-    angles = [a_star - math.pi / 2.0, a_star + math.pi / 2.0]
-    if model.kind == "far_flip":
-        a_tilde = math.atan2(model.w_tilde[1], model.w_tilde[0])
-        angles += [a_tilde, a_tilde + math.pi]
+    a_tilde = math.atan2(model.w_tilde[1], model.w_tilde[0])
+    angles = [a_star - math.pi / 2.0, a_star + math.pi / 2.0, a_tilde, a_tilde + math.pi]
     shifted = np.mod(np.asarray(angles) - frame_shift, 2.0 * math.pi)
     return np.unique(np.round(shifted, 14))
-
-
-def _sector_labels(model: NoiseModel, frame_shift: float, phi_mid: float) -> tuple[float, float]:
-    """(inner label, outer label) of the sector containing w-frame angle phi_mid."""
-    u = np.array([math.cos(phi_mid + frame_shift), math.sin(phi_mid + frame_shift)])
-    clean = 1.0 if float(u @ model.w_star) >= 0.0 else -1.0
-    if model.kind != "far_flip":
-        return clean, clean
-    in_c = float(u @ model.w_star) * float(u @ model.w_perp) <= 0.0
-    return clean, (clean if in_c else -clean)
 
 
 def _split_at(points, lo: float, hi: float) -> list[tuple[float, float]]:
@@ -301,7 +291,7 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
     is found once per call, or per point for the squared hinge, whose tail
     bound grows with ||w||.
     """
-    Z = model.Z if model.kind == "far_flip" else math.inf
+    Z = model.Z
     radial, second = [], []  # parameter rows of the two coordinates' rules
     radial_at, second_at = [], []  # 2 * point + (1 if the piece lies in S)
     shifts = []
@@ -312,24 +302,26 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
         shifts.append(frame_shift)
         if r_max is None or loss.kind == "squared_hinge":
             r_max = _auto_r_max(loss, spec, rho, quad.tol)
-        annuli = [(0.0, r_max, False)] if Z >= r_max else [(0.0, Z, False), (Z, r_max, True)]
+        annuli = [(0.0, r_max)] if Z >= r_max else [(0.0, Z), (Z, r_max)]  # S^c, then S
         brk = _sector_break_angles(model, frame_shift).tolist()
-        for p1, p2 in zip(brk, brk[1:] + [brk[0] + 2.0 * math.pi]):
-            inner_y, outer_y = _sector_labels(model, frame_shift, 0.5 * (p1 + p2))
+        pieces = [(p1, p2, ra, rb, 2 * i + j) for p1, p2 in zip(brk, brk[1:] + [brk[0] + 2.0 * math.pi])
+                  for j, (ra, rb) in enumerate(annuli)]
+        # the observed label is constant on each sector x annulus piece: label its midpoint
+        phi = np.array([0.5 * (p1 + p2) for p1, p2, *_ in pieces]) + frame_shift
+        r = np.array([0.5 * (ra + rb) for _, _, ra, rb, _ in pieces])
+        labels = corrupt_labels(model, r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1))[0]
+        for (p1, p2, ra, rb, at), y in zip(pieces, labels.tolist()):
             s1, s2 = math.sin(p1), math.sin(p2)
-            for ra, rb, outer in annuli:
-                y = outer_y if outer else inner_y
-                at = 2 * i + outer
-                for a, b in _split_at(_radial_kinks(loss, rho, y, s1, s2), ra, rb):
-                    radial.append((a, b, -y * rho * s1, -y * rho * s2, rho))
-                    radial_at.append(at)
-                if loss.kind == "logistic":
-                    second.append((y, rho, p1, p2, ra, rb))
-                    second_at.append(at)
-                    continue
-                for a, b in _split_at(_angular_kinks(rho, y, ra, rb), p1, p2):
-                    second.append((a, b, y, rho, ra, rb))
-                    second_at.append(at)
+            for a, b in _split_at(_radial_kinks(loss, rho, y, s1, s2), ra, rb):
+                radial.append((a, b, -y * rho * s1, -y * rho * s2, rho))
+                radial_at.append(at)
+            if loss.kind == "logistic":
+                second.append((y, rho, p1, p2, ra, rb))
+                second_at.append(at)
+                continue
+            for a, b in _split_at(_angular_kinks(rho, y, ra, rb), p1, p2):
+                second.append((a, b, y, rho, ra, rb))
+                second_at.append(at)
 
     if loss.kind == "logistic":
         second_rule = _Rule(np.array(second), partial(_tensor_level, spec, quad.tol), lambda row: (

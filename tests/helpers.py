@@ -57,13 +57,18 @@ def halfspace_label(w, x) -> int:
     return 1 if float(np.dot(w, x)) >= 0.0 else -1
 
 
-def apply_noise(model, x, clean_y: int) -> int:
-    """Observed label for one example; clean_y must be halfspace_label(w*, x)."""
+def region_membership(model, x) -> tuple[bool, bool]:
+    """(in C, in S) for one point: the far-flip regions, one example at a time."""
     x = np.asarray(x, dtype=float)
-    if model.kind == "clean":
-        return int(clean_y)
-    in_s = float(np.linalg.norm(x)) >= model.Z
     in_c = float(x @ model.w_star) * float(x @ model.w_perp) <= 0.0
+    in_s = float(np.linalg.norm(x)) >= model.Z
+    return in_c, in_s
+
+
+def apply_noise(model, x, clean_y: int) -> int:
+    """Observed label for one example; clean_y must be halfspace_label(w*, x).
+    The scalar oracle for noise.corrupt_labels."""
+    in_c, in_s = region_membership(model, x)
     return int(-clean_y) if (in_s and not in_c) else int(clean_y)
 
 
@@ -216,22 +221,23 @@ def _tensor_cell(loss, spec, rho, y, p1, p2, ra, rb, quad):
 
 def reference_population_grad(loss, w, spec, model, quad):
     """(grad, error) of oracle.convex_population_grad by one integration per
-    piece: integrate_refining on every kink-split interval and one
-    elementwise tensor refinement per logistic cell, summed piece by piece;
-    the reference for the batched oracle."""
+    piece: each piece labeled by the scalar apply_noise at its midpoint,
+    integrate_refining on every kink-split interval and one elementwise
+    tensor refinement per logistic cell, summed piece by piece; the
+    reference for the batched oracle."""
     w = np.asarray(w, dtype=float)
     rho = float(np.linalg.norm(w))
     frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
     r_max = oracle._auto_r_max(loss, spec, rho, quad.tol)
-    Z = model.Z if model.kind == "far_flip" else math.inf
-    annuli = [(0.0, r_max, False)] if Z >= r_max else [(0.0, Z, False), (Z, r_max, True)]
+    annuli = [(0.0, r_max)] if model.Z >= r_max else [(0.0, model.Z), (model.Z, r_max)]
     brk = oracle._sector_break_angles(model, frame_shift).tolist()
     grad, err = np.zeros(2), quad.tol / 10.0
     for p1, p2 in zip(brk, brk[1:] + [brk[0] + 2.0 * math.pi]):
-        inner_y, outer_y = oracle._sector_labels(model, frame_shift, 0.5 * (p1 + p2))
         s1, s2 = math.sin(p1), math.sin(p2)
-        for ra, rb, outer in annuli:
-            y = outer_y if outer else inner_y
+        for ra, rb in annuli:
+            mid = 0.5 * (ra + rb) * np.array([math.cos(0.5 * (p1 + p2) + frame_shift),
+                                              math.sin(0.5 * (p1 + p2) + frame_shift)])
+            y = float(apply_noise(model, mid, halfspace_label(model.w_star, mid)))
 
             def radial(r):
                 return (dist.radial_density(spec, r) * r
@@ -268,7 +274,7 @@ def grad_monte_carlo(loss, w, spec, model, n: int, seed: int):
     with per-coordinate standard errors; the independent cross-check for the
     oracle's quadrature."""
     X = dist.sample(spec, n, seed)
-    y, _ = corrupt_labels(model, X, halfspace_labels(model.w_star, X))
+    y, _ = corrupt_labels(model, X)
     t = -y * (X @ np.asarray(w, dtype=float))
     G = (-y * loss.slope(t))[:, None] * X
     return G.mean(axis=0), G.std(axis=0, ddof=1) / math.sqrt(n)

@@ -17,8 +17,8 @@ from halfspace_sgd.cli import main as cli_main
 from halfspace_sgd.geometry import angle_between, halfspace_labels, unit_vector
 from halfspace_sgd.learner import LearnerConfig, learn_batch
 from halfspace_sgd.losses import convex_surrogate
-from halfspace_sgd.noise import far_flip, make_dataset
-from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, psgd_lockstep
+from halfspace_sgd.noise import NoisyExampleStream, far_flip, make_dataset
+from halfspace_sgd.optimizer import PsgdConfig, psgd_lockstep
 from halfspace_sgd.oracle import admissible_theta, predicted_floor, scan_cone
 from halfspace_sgd.baselines import full_batch_minimize
 from helpers import (

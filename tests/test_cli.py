@@ -122,11 +122,17 @@ def test_malformed_line_exits_2(tmp_path):
     ("learn", TINY_LEARN + "grid = inf, 0.1\n", [], "sigma grid must be nonempty, positive and finite"),
     ("lowerbound", TINY_LOWERBOUND + "opt = 1\n", [], "opt (the tail mass) must lie in (0, 1)"),
     ("learn", TINY_LEARN + "holdout_size = 0\nepsilon = 1e-200\n", [], "overflow the default holdout size"),
+    ("learn", TINY_LEARN + "seed_base = -5\n", [], "seed_base must be >= 0"),
+    ("compare", TINY_COMPARE + "losses =\n", [], "losses must be nonempty"),
+    ("compare", TINY_COMPARE + "holdout_k = inf\n", [], "holdout_k must be finite"),
+    ("learn", TINY_LEARN + "holdout_size = 0\nepsilon = 1e-100\n", [], "the largest array numpy can index"),
+    ("learn", TINY_LEARN + "holdout_size = 1000000000000000000\n", [], "holdout_size = 1000000000000000000"),
 ], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2",
         "squared-hinge-heavy", "d-1", "stride-0", "t_cap-0", "eval_size-0", "holdout_size-neg",
         "grid-neg", "theta2-1", "epsilon-2", "rho-neg", "rho-0", "conv_n-0", "holdout_k-0",
         "grid_points-0", "opt-0", "tol-0", "tol-nan", "gtol-neg", "gtol-nan", "rho-inf", "grid-inf",
-        "opt-1", "epsilon-tiny-default-holdout"])
+        "opt-1", "epsilon-tiny-default-holdout", "seed_base-neg", "compare-no-losses", "holdout_k-inf",
+        "epsilon-1e-100-default-holdout", "holdout_size-1e18"])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flags, needle):
     out = tmp_path / "o.csv"
     cfg = _write(tmp_path / "c.txt", text)

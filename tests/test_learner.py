@@ -19,8 +19,8 @@ from halfspace_sgd.learner import (
     learn_batch,
     zero_one_errors,
 )
-from halfspace_sgd.noise import LabeledDataset, clean_labels, far_flip, make_dataset
-from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, psgd_lockstep
+from halfspace_sgd.noise import LabeledDataset, NoisyExampleStream, clean_labels, far_flip, make_dataset
+from halfspace_sgd.optimizer import PsgdConfig, psgd_lockstep
 from helpers import estimate_err01
 
 

@@ -6,21 +6,15 @@ import pytest
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import angle_between, halfspace_labels, rotate2d, unit_vector
 from halfspace_sgd.noise import (
-    _memberships,
+    NoisyExampleStream,
     clean_labels,
     corrupt_labels,
     far_flip,
     make_dataset,
 )
-from helpers import apply_noise, estimate_err01, halfspace_label
+from helpers import apply_noise, estimate_err01, halfspace_label, region_membership
 
 E2 = unit_vector(2, 1)
-
-
-def region_membership(model, x):
-    """(in_C, in_S) for a single point, from the row-wise rule."""
-    in_c, in_s = _memberships(model, np.asarray(x, dtype=float)[None, :])
-    return bool(in_c[0]), bool(in_s[0])
 
 
 def test_label_clean_reference_cases():
@@ -103,7 +97,7 @@ def test_apply_noise_rules():
             assert got == (y if in_c else -y)
     X = rng.standard_normal((200, 2)) * 2.0
     clean_y = halfspace_labels(E2, X)
-    rows, _ = corrupt_labels(model, X, clean_y)
+    rows, _ = corrupt_labels(model, X)
     assert rows.tolist() == [apply_noise(model, x, y) for x, y in zip(X, clean_y)]
 
 
@@ -122,11 +116,10 @@ def test_flip_mass_bounded_by_tail_mass():
     spec = dist.gaussian(2)
     n = 1_000_000
     X = dist.sample(spec, n, seed=17)
-    clean = halfspace_labels(E2, X)
     for opt in (0.02, 0.1):
         Z = dist.z_for_tail_mass(spec, opt)
         model = far_flip(E2, Z=Z, theta2=math.pi / 8)
-        _, flip = corrupt_labels(model, X, clean)
+        _, flip = corrupt_labels(model, X)
         tail = dist.radial_tail_mass(spec, Z)
         stderr = math.sqrt(tail * (1 - tail) / n)
         assert float(np.mean(flip)) <= tail + 4.0 * stderr
@@ -163,6 +156,19 @@ def test_make_dataset_clean_and_deterministic():
     ds2 = make_dataset(spec, model, 1000, seed=7)
     np.testing.assert_array_equal(ds.x, ds2.x)
     np.testing.assert_array_equal(ds.y, ds2.y)
+
+
+@pytest.mark.parametrize("d", [2, 10])
+def test_clean_labels_flip_nothing_in_datasets_and_streams(d):
+    # clean_labels is the far-flip rule with Z = inf: its flip set is empty
+    spec = dist.gaussian(d)
+    w = np.random.default_rng(d).standard_normal(d)
+    model = clean_labels(w)
+    ds = make_dataset(spec, model, 20_000, seed=3)
+    assert not ds.flipped.any()
+    np.testing.assert_array_equal(ds.y, halfspace_labels(w, ds.x))
+    X, y = NoisyExampleStream(spec, model, seed=4).take(20_000)
+    np.testing.assert_array_equal(y, halfspace_labels(w, X))
 
 
 def test_make_dataset_noise_rate_matches_sector_mass():

@@ -6,8 +6,8 @@ import pytest
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import angle_between, unit_vector
 from halfspace_sgd.learner import zero_one_errors
-from halfspace_sgd.noise import clean_labels, far_flip, make_dataset
-from halfspace_sgd.optimizer import NoisyExampleStream, PsgdConfig, batch_grad_norms, psgd_lockstep
+from halfspace_sgd.noise import NoisyExampleStream, clean_labels, far_flip, make_dataset
+from halfspace_sgd.optimizer import PsgdConfig, batch_grad_norms, psgd_lockstep
 from helpers import ArrayStream, loop_grad_norms
 
 

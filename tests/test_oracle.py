@@ -165,8 +165,7 @@ def test_gradient_matches_bruteforce_tensor_rule():
 
     R, P = np.meshgrid(r, phi, indexing="ij")
     X = np.stack([(R * np.cos(P)).ravel(), (R * np.sin(P)).ravel()], axis=1)
-    clean = np.where(X @ model.w_star >= 0, 1.0, -1.0)
-    y, _ = corrupt_labels(model, X, clean)
+    y, _ = corrupt_labels(model, X)
     t = -y * (X @ w)
     weights = ((r * dist.radial_density(spec, r) * dr)[:, None] * dphi[None, :]).ravel()
     g_brute = ((-y * LOGISTIC.slope(t) * weights)[:, None] * X).sum(axis=0)
