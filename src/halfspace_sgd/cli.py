@@ -26,7 +26,7 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -350,11 +350,14 @@ def _lowerbound_group(args) -> list[list]:
 
 def _map_groups(fn, groups, workers: int) -> list:
     """[fn(g) for g in groups] in config order, over at most min(workers,
-    groups, cpu count) processes and none beyond this one when that is 1; a
-    group that raises gives its exception in place of its result."""
-    n = min(workers, len(groups), os.cpu_count() or 1)
+    groups, usable CPUs) threads, and in this thread alone when that is 1; a
+    group that raises gives its exception in place of its result. numpy
+    releases the GIL in the array passes that dominate a report or a cone
+    scan, so the threads share the cores; each group is computed on its own,
+    so results do not depend on the thread count."""
+    n = min(workers, len(groups), len(os.sched_getaffinity(0)))
     results = []
-    with ProcessPoolExecutor(max_workers=n) if n > 1 else contextlib.nullcontext() as pool:
+    with ThreadPoolExecutor(max_workers=n) if n > 1 else contextlib.nullcontext() as pool:
         calls = [pool.submit(fn, g).result if pool else partial(fn, g) for g in groups]
         for call in calls:
             try:
@@ -411,7 +414,7 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)))
         p.add_argument("--timing", action="store_true")
     args = parser.parse_args(argv)
 

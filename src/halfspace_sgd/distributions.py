@@ -279,14 +279,21 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarra
 
 def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. points; deterministic given (spec, seed) and bitwise
-    equal to SampleStream(spec, seed).take(n)."""
+    equal to SampleStream(spec, seed).take(n). For the Gaussian it also
+    equals any split of n into consecutive takes; see SampleStream."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
     return _draw(spec, np.random.default_rng(seed), n)
 
 
 class SampleStream:
-    """Seeded, chunked source of i.i.d. points; one PSGD pass consumes one stream."""
+    """Seeded, chunked source of i.i.d. points; one PSGD pass consumes one stream.
+
+    Gaussian takes are block-consistent: consecutive take(k) calls
+    concatenate bitwise to one sample() draw of their total size, whatever
+    the k. The 2D radial families are not: each take draws all its angles,
+    then all its radii, so the points depend on how n is split.
+    """
 
     def __init__(self, spec: DistributionSpec, seed: int):
         self.spec = spec

@@ -1,8 +1,9 @@
 """Unit-sphere vector geometry shared by every module.
 
 All halfspaces are homogeneous: h_w(x) = sign(<w, x>) with w on the unit
-sphere. The sign convention is sign(0) = +1, fixed here once so that label
-generation, error estimation and the noise constructions all agree.
+sphere. The sign convention is sign(0) = +1: halfspace_labels, the label rule
+noise.corrupt_labels and the learner's zero-one scoring all read a zero
+margin as +1.
 """
 
 from __future__ import annotations

@@ -6,9 +6,17 @@ level opt with a width sigma ~ opt/C; sweeping removes the need to know opt).
 Each width gets its own fresh training stream and a full PSGD pass; the runs
 of every (noise model, seed, width) of a learn_batch call advance together in
 one lockstep batch. A strided subsample of every iterate list is scored on a
-noisy holdout by zero-one error, all of a trial's lists in one call, and the
+noisy holdout by zero-one error, all of a trial's lists at once, and the
 overall argmin wins, ties broken by grid order then iterate order. The
 reported error comes from a disjoint evaluation set.
+
+Neither the holdout nor the evaluation set is held whole. For the Gaussian,
+each is drawn _SCORE_ROWS examples at a time from one SampleStream (those
+blocks concatenate bitwise to one sample() draw), labeled by corrupt_labels,
+scored and dropped; integer error counts add up over the blocks, so every
+rate equals the one the whole set gives. The first holdout block also feeds
+the per-width gradient-norm diagnostic. The 2D radial families draw all n
+points at once, so their sets come as one block.
 
 The analysis constant C = R^4/(2^15 U^3), from the (U, R) of the marginal
 (distributions.well_behaved_params), is below 1e-7 for the stock families
@@ -29,7 +37,7 @@ import numpy as np
 
 from . import distributions as dist
 from .geometry import angle_between
-from .noise import NoiseModel, NoisyExampleStream, make_dataset
+from .noise import LabeledDataset, NoiseModel, NoisyExampleStream, corrupt_labels, make_dataset
 from .optimizer import PsgdConfig, batch_grad_norms, psgd_lockstep
 
 __all__ = [
@@ -46,7 +54,7 @@ __all__ = [
 
 DEFAULT_GRID = (0.32, 0.16, 0.08, 0.04, 0.02)
 _GRAD_DIAG_BATCH = 2_000  # holdout examples behind each per-width gradient-norm diagnostic
-_SCORE_ROWS = 2_048       # examples per scoring block in d > 2
+_SCORE_ROWS = 2_048       # examples per drawn and scored block; holds the diagnostic batch
 _SCORE_COLS = 256         # candidates per scoring block: a block's scores take 4 MB
 
 
@@ -101,7 +109,7 @@ def default_holdout_size(d: int, epsilon: float, delta: float) -> int:
 
 
 def zero_one_errors(W: np.ndarray, dataset) -> np.ndarray:
-    """Zero-one error of every row of W on the dataset.
+    """Number of examples of the dataset each row of W misclassifies.
 
     In 2D each example misclassifies exactly a half-circle of candidate
     directions, so all errors follow from circular-interval counting over the
@@ -122,7 +130,7 @@ def _zero_one_errors_blocked(W: np.ndarray, dataset) -> np.ndarray:
         pos = (dataset.y[lo : lo + _SCORE_ROWS] > 0.0)[:, None]
         for c in range(0, W.shape[0], _SCORE_COLS):
             wrong[c : c + _SCORE_COLS] += np.count_nonzero((X @ W[c : c + _SCORE_COLS].T >= 0.0) != pos, axis=0)
-    return wrong / len(dataset)
+    return wrong
 
 
 def _zero_one_errors_2d(W: np.ndarray, dataset) -> np.ndarray:
@@ -139,12 +147,11 @@ def _zero_one_errors_2d(W: np.ndarray, dataset) -> np.ndarray:
     starts.sort()
     ends.sort()
     alpha = np.mod(np.arctan2(W[:, 1], W[:, 0]), two_pi)
-    covered = (
+    return (
         np.searchsorted(starts, alpha, side="right")
         - np.searchsorted(ends, alpha, side="right")
         + wrapped
     )
-    return covered / len(dataset)
 
 
 @dataclass
@@ -191,7 +198,7 @@ def learn_batch(spec, groups, config: LearnerConfig, seeds, map_groups=map) -> l
 
     The report phase (holdout scoring, selection, evaluation) runs per group
     as map_groups(fn, jobs), the builtin map by default; the CLI passes one
-    that spreads the groups over worker processes and puts a failing group's
+    that spreads the groups over threads and puts a failing group's
     exception in its place. Returns one entry per group: its list of
     TrialReports, one per seed.
 
@@ -217,6 +224,18 @@ def _group_reports(job) -> list[TrialReport]:
             for si, seed in enumerate(seeds)]
 
 
+def _labeled_blocks(spec, model: NoiseModel, n: int, seed: int):
+    """make_dataset(spec, model, n, seed) as consecutive LabeledDatasets of at
+    most _SCORE_ROWS examples; one block for the 2D radial families."""
+    if spec.family != "gaussian":
+        yield make_dataset(spec, model, n, seed)
+        return
+    points = dist.SampleStream(spec, seed)
+    for lo in range(0, n, _SCORE_ROWS):
+        X = points.take(min(_SCORE_ROWS, n - lo))
+        yield LabeledDataset(X, *corrupt_labels(model, X))
+
+
 def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
                   opt_target: float, kept: np.ndarray, shared_s: float) -> TrialReport:
     """kept is (grid widths, iterates, d): each width's strided iterate list."""
@@ -224,16 +243,20 @@ def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
     n_hold = config.holdout_size
     if n_hold is None:
         n_hold = default_holdout_size(spec.dim, config.epsilon, config.delta)
-    holdout = make_dataset(spec, model, n_hold, derive_seed(seed, 2))
-    eval_ds = make_dataset(spec, model, config.eval_size, derive_seed(seed, 3))
-    errs = zero_one_errors(kept.reshape(-1, spec.dim), holdout).reshape(kept.shape[:2])
+    W = kept.reshape(-1, spec.dim)
+    blocks = _labeled_blocks(spec, model, n_hold, derive_seed(seed, 2))
+    head = next(blocks)  # the first block also feeds the gradient-norm diagnostic
+    wrong = zero_one_errors(W, head)
+    for block in blocks:
+        wrong += zero_one_errors(W, block)
+    errs = (wrong / n_hold).reshape(kept.shape[:2])
 
     per_sigma = []
     diag_batch = min(_GRAD_DIAG_BATCH, n_hold)
     diag_stride = max(1, kept.shape[1] // 50)
     for sigma, vectors, width_errs in zip(config.grid, kept, errs):
         ii = int(np.argmin(width_errs))
-        min_grad = float(np.min(batch_grad_norms(vectors[::diag_stride], holdout, sigma, diag_batch)))
+        min_grad = float(np.min(batch_grad_norms(vectors[::diag_stride], head, sigma, diag_batch)))
         per_sigma.append(
             SigmaDiagnostic(
                 sigma=sigma,
@@ -248,6 +271,10 @@ def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
     li, ii = np.unravel_index(int(np.argmin(errs)), errs.shape)  # ties: grid order, then iterate order
     sigma_best = config.grid[li]
     w = kept[li, ii]
+    flipped = wrong_w = 0
+    for block in _labeled_blocks(spec, model, config.eval_size, derive_seed(seed, 3)):
+        flipped += int(np.count_nonzero(block.flipped))
+        wrong_w += int(_zero_one_errors_blocked(w[None, :], block)[0])
 
     c_const = c_const_for(spec)
     return TrialReport(
@@ -255,9 +282,9 @@ def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
         family=spec.family,
         d=spec.dim,
         opt_target=float(opt_target),
-        measured_noise_rate=eval_ds.noise_rate,
+        measured_noise_rate=flipped / config.eval_size,
         sigma_best=sigma_best,
-        err01=float(_zero_one_errors_blocked(w[None, :], eval_ds)[0]),
+        err01=wrong_w / config.eval_size,
         angle_to_wstar=angle_between(w, model.w_star),
         T_used=config.t_cap,
         beta=PsgdConfig(T=config.t_cap, sigma=sigma_best, rho=config.rho).step_size,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import SampleStream, sample
-from .geometry import halfspace_labels, project_to_sphere, rotate2d
+from .geometry import project_to_sphere, rotate2d
 
 __all__ = [
     "NoiseModel",
@@ -101,12 +101,12 @@ def clean_labels(w_star) -> NoiseModel:
 
 def corrupt_labels(model: NoiseModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(observed labels, flip mask) of the rows of X: sign(<w*, x>), flipped
-    on S \\ C."""
-    clean = halfspace_labels(model.w_star, X)
-    in_s = np.sqrt(np.sum(X * X, axis=1)) >= model.Z
-    in_c = (X @ model.w_star) * (X @ model.w_perp) <= 0.0
+    on S \\ C. One X w* pass gives both the sign and the C test."""
+    margin = X @ model.w_star
+    in_s = np.sqrt(np.einsum("ij,ij->i", X, X)) >= model.Z
+    in_c = margin * (X @ model.w_perp) <= 0.0
     flip = in_s & ~in_c
-    return np.where(flip, -clean, clean), flip
+    return np.where((margin >= 0.0) != flip, 1.0, -1.0), flip  # sign(0) = +1, as halfspace_labels
 
 
 @dataclass
@@ -127,10 +127,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def noise_rate(self) -> float:
-        return float(np.mean(self.flipped))
 
 
 def _check_dims(spec, model: NoiseModel) -> None:

@@ -25,7 +25,7 @@ __all__ = [
     "batch_grad_norms",
 ]
 
-_CHUNK = 2048  # stream draw granularity; invisible to results
+_CHUNK = 2048  # stream draw granularity; 2D radial families draw per chunk, so results depend on it
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ import numpy as np
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd import oracle
-from halfspace_sgd.geometry import halfspace_labels, rotate2d
+from halfspace_sgd.geometry import angle_between, halfspace_labels, rotate2d
+from halfspace_sgd.learner import derive_seed, zero_one_errors
 from halfspace_sgd.losses import sigmoid, surrogate_grad_rows
-from halfspace_sgd.noise import corrupt_labels
+from halfspace_sgd.noise import corrupt_labels, make_dataset
+from halfspace_sgd.optimizer import batch_grad_norms
 from halfspace_sgd.quadrature import gl_panels, refine_by_doubling
 
 
@@ -102,7 +104,7 @@ def surrogate_grad_sample(w, x, y, sigma: float) -> np.ndarray:
 
 def estimate_err01(w, dataset) -> float:
     """Fraction of examples with sign(<w, x>) != y: one candidate at a time,
-    the oracle for learner.zero_one_errors."""
+    the oracle for learner.zero_one_errors (a count) over the dataset size."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     return float(np.mean(halfspace_labels(w, dataset.x) != dataset.y))
@@ -336,3 +338,28 @@ def reference_newton(loss, X, y, w0, gtol: float = 1e-6, max_iter: int = 500):
         w = w - alpha * step
         g = convex_grad_mean(w, X, y, loss)
     return w, float(np.linalg.norm(g)), max_iter
+
+
+def reference_trial_report(spec, model, config, seed: int, kept) -> dict:
+    """The data-dependent fields of learner._trial_report, from whole
+    holdout and evaluation sets: each built by one make_dataset call and
+    scored by one zero_one_errors call, the gradient-norm diagnostic on the
+    holdout's first min(2000, n) examples."""
+    n_hold = config.holdout_size
+    holdout = make_dataset(spec, model, n_hold, derive_seed(seed, 2))
+    eval_ds = make_dataset(spec, model, config.eval_size, derive_seed(seed, 3))
+    errs = (zero_one_errors(kept.reshape(-1, spec.dim), holdout) / n_hold).reshape(kept.shape[:2])
+    per_sigma = []
+    for sigma, vectors, width_errs in zip(config.grid, kept, errs):
+        ii = int(np.argmin(width_errs))
+        norms = batch_grad_norms(vectors[:: max(1, kept.shape[1] // 50)], holdout, sigma, min(2000, n_hold))
+        per_sigma.append((float(width_errs[ii]), angle_between(vectors[ii], model.w_star), float(np.min(norms))))
+    li, ii = np.unravel_index(int(np.argmin(errs)), errs.shape)
+    w = kept[li, ii]
+    return {
+        "measured_noise_rate": float(np.mean(eval_ds.flipped)),
+        "sigma_best": config.grid[li],
+        "err01": float(zero_one_errors(w[None, :], eval_ds)[0] / len(eval_ds)),
+        "angle_to_wstar": angle_between(w, model.w_star),
+        "per_sigma": per_sigma,
+    }

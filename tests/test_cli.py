@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -75,10 +78,11 @@ def test_out_of_range_opt_exits_2(tmp_path):
 
 
 def test_learn_workers_match_serial(tmp_path):
+    # with two or more CPUs the default runs the two opt groups' reports on threads
     cfg = _write(tmp_path / "c.txt", TINY_LEARN.replace("opt_list = 0.02", "opt_list = 0.02, 0.05"))
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-    assert main(["learn", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["learn", "--config", cfg, "--out", str(out2), "--workers", "2"]) == 0
+    assert main(["learn", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
+    assert main(["learn", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -141,11 +145,11 @@ def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flag
     assert not out.exists()
 
 
-def test_run_groups_caps_workers_and_marks_failures(monkeypatch):
+def test_run_groups_caps_workers_and_marks_failures(tmp_path, monkeypatch):
     started = []
 
     class FakePool:
-        """Records max_workers and runs each submission at once, in this process."""
+        """Records max_workers and runs each submission at once, in this thread."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
@@ -169,9 +173,9 @@ def test_run_groups_caps_workers_and_marks_failures(monkeypatch):
             raise RuntimeError("boom")
         return [[g, "ok"]]
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    # (workers, groups) -> pool sizes started: min(workers, groups, cpu count), none when 1
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    # (workers, groups) -> pool sizes started: min(workers, groups, usable CPUs), none when 1
     for workers, n_groups, pools in [(8, 2, [2]), (8, 5, [3]), (2, 5, [2]), (1, 5, []), (8, 1, [])]:
         started.clear()
         rows, failed = cli._run_groups(list(range(n_groups)), worker, workers, 2)
@@ -180,6 +184,23 @@ def test_run_groups_caps_workers_and_marks_failures(monkeypatch):
         assert [r[0] for r in rows] == [0, "FAILED", 2, 3, 4][:n_groups]
         if n_groups > 1:
             assert rows[1] == ["FAILED", "RuntimeError: boom"]
+
+    # --workers defaults to the usable CPUs: six lowerbound cells get a pool of three
+    monkeypatch.setattr(cli, "_lowerbound_group", lambda args: [[args[0].kind, args[1].family] + [1] * 9])
+    cfg = _write(tmp_path / "c.txt", "families = gaussian, logconcave, heavy_tailed\nlosses = logistic, hinge\n")
+    for flags, pools in [([], [3]), (["--workers", "1"], []), (["--workers", "2"], [2])]:
+        started.clear()
+        assert main(["lowerbound", "--config", cfg, "--out", str(tmp_path / "o.csv")] + flags) == 0
+        assert started == pools
+        assert len(_rows(tmp_path / "o.csv")) == 1 + 6
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # the group pool is threads; importing multiprocessing would add to every start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import sys, halfspace_sgd.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_learn_failures_mark_their_groups(tmp_path, monkeypatch):
@@ -302,14 +323,16 @@ def test_compare_rows_and_determinism(tmp_path):
 
 
 def test_lowerbound_certifies_and_workers_match(tmp_path):
-    cfg = _write(tmp_path / "c.txt", TINY_LOWERBOUND)
+    # two cells, so with two or more CPUs the default scans them on threads
+    cfg = _write(tmp_path / "c.txt", TINY_LOWERBOUND.replace("losses = logistic", "losses = logistic, hinge"))
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["lowerbound", "--config", cfg, "--out", str(out1)]) == 0
+    assert main(["lowerbound", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
     rows = _rows(out1)
-    assert len(rows) == 2
-    assert rows[1][-1] == "1"  # certified
-    assert float(rows[1][7]) > 10.0 * float(rows[1][9])
-    assert main(["lowerbound", "--config", cfg, "--out", str(out2), "--workers", "2"]) == 0
+    assert [r[0] for r in rows[1:]] == ["logistic", "hinge"]
+    for r in rows[1:]:
+        assert r[-1] == "1"  # certified
+        assert float(r[7]) > 10.0 * float(r[9])
+    assert main(["lowerbound", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 

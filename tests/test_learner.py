@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
+from halfspace_sgd import learner
 from halfspace_sgd.geometry import unit_vector
 from halfspace_sgd.learner import (
     LearnerConfig,
@@ -21,7 +22,7 @@ from halfspace_sgd.learner import (
 )
 from halfspace_sgd.noise import LabeledDataset, NoisyExampleStream, clean_labels, far_flip, make_dataset
 from halfspace_sgd.optimizer import PsgdConfig, psgd_lockstep
-from helpers import estimate_err01
+from helpers import estimate_err01, reference_trial_report
 
 
 def _pick(spec, model, kept):
@@ -35,6 +36,30 @@ def _pick(spec, model, kept):
 
 def _pick_holdout(spec, model):
     return make_dataset(spec, model, 50_000, derive_seed(8, 2))
+
+
+@pytest.mark.parametrize("family, n_hold, n_eval, holdout_blocks", [
+    ("gaussian", 5_001, 3_333, [2048, 2048, 905]),
+    ("gaussian", 1_500, 3_333, [1500]),
+    ("heavy_tailed", 5_001, 3_333, [5001]),
+], ids=["gaussian-partial-last-block", "holdout-below-diag-batch", "heavy-tailed-one-block"])
+def test_streamed_trial_report_matches_materialised_reference(family, n_hold, n_eval, holdout_blocks):
+    spec = dist.gaussian(3) if family == "gaussian" else dist.heavy_tailed(3.0)
+    model = far_flip(unit_vector(spec.dim, 1), Z=dist.z_for_tail_mass(spec, 0.05), theta2=math.pi / 8)
+    config = LearnerConfig(grid=(0.3, 0.2, 0.1), t_cap=1, holdout_size=n_hold, eval_size=n_eval)
+    rng = np.random.default_rng(21)
+    kept = model.w_star + 0.3 * rng.standard_normal((3, 60, spec.dim))
+    kept /= np.linalg.norm(kept, axis=2, keepdims=True)
+    blocks = list(learner._labeled_blocks(spec, model, n_hold, derive_seed(4, 2)))
+    assert [len(b) for b in blocks] == holdout_blocks
+
+    rep = _trial_report(spec, model, config, 4, 0.05, kept, 0.0)
+    ref = reference_trial_report(spec, model, config, 4, kept)
+    assert rep.measured_noise_rate == ref["measured_noise_rate"]
+    assert rep.sigma_best == ref["sigma_best"]
+    assert rep.err01 == ref["err01"]
+    assert rep.angle_to_wstar == ref["angle_to_wstar"]
+    assert [(d.best_holdout_err, d.angle_best, d.min_grad_norm) for d in rep.per_sigma] == ref["per_sigma"]
 
 
 def test_c_const_report_value():
@@ -64,7 +89,7 @@ def test_estimate_err01_reference_cases():
     se = math.sqrt(0.25 / 100_000)
     assert abs(estimate_err01(perp, ds) - 0.5) <= 4.0 * se
     W = np.vstack([w_star, -w_star, perp])
-    assert zero_one_errors(W, ds).tolist() == [estimate_err01(w, ds) for w in W]
+    assert (zero_one_errors(W, ds) / len(ds)).tolist() == [estimate_err01(w, ds) for w in W]
     # nonempty guard: build an empty dataset directly
     from halfspace_sgd.noise import LabeledDataset
 
@@ -79,7 +104,7 @@ def test_zero_one_errors_matches_scalar_loop():
     rng = np.random.default_rng(7)
     W = rng.standard_normal((600, 3))  # spans several candidate blocks
     W /= np.linalg.norm(W, axis=1)[:, None]
-    errs = zero_one_errors(W, ds)
+    errs = zero_one_errors(W, ds) / len(ds)
     for i in range(600):
         assert errs[i] == estimate_err01(W[i], ds)
 
@@ -90,7 +115,7 @@ def test_interval_count_equals_matmul_count(seed, n, k):
     rng = np.random.default_rng(seed)
     ds = LabeledDataset(rng.standard_normal((n, 2)), rng.choice([-1.0, 1.0], n), np.zeros(n, dtype=bool))
     W = rng.standard_normal((k, 2))
-    direct = np.mean((ds.x @ W.T >= 0.0) != (ds.y[:, None] > 0.0), axis=0)
+    direct = np.count_nonzero((ds.x @ W.T >= 0.0) != (ds.y[:, None] > 0.0), axis=0)
     np.testing.assert_array_equal(_zero_one_errors_2d(W, ds), direct)
 
 
@@ -106,7 +131,7 @@ def test_select_best_single_and_planted():
     noise_vecs /= np.linalg.norm(noise_vecs, axis=1)[:, None]
     planted = np.vstack([noise_vecs[:3], w_star])
     others = np.vstack([noise_vecs[3:], noise_vecs[3]])
-    errs_all = zero_one_errors(np.vstack([noise_vecs, w_star]), holdout)
+    errs_all = zero_one_errors(np.vstack([noise_vecs, w_star]), holdout) / len(holdout)
     gap = np.sort(errs_all)[1] - np.min(errs_all)
     hoeffding = math.sqrt(math.log(2 / 0.01) / (2 * 50_000))
     if gap > 2 * hoeffding:  # planted optimum separated: must be selected
@@ -143,7 +168,7 @@ def test_run_for_sigma_reaches_low_error_on_clean_data():
     model = clean_labels(w_star)
     out = psgd_lockstep([NoisyExampleStream(spec, model, seed=13)], PsgdConfig(T=30_000, sigma=0.1))
     holdout = make_dataset(spec, model, 20_000, seed=14)
-    errs = zero_one_errors(out.kept[0][::50], holdout)
+    errs = zero_one_errors(out.kept[0][::50], holdout) / len(holdout)
     assert float(np.min(errs)) <= 0.02
 
 
@@ -247,11 +272,11 @@ def test_error_sandwiched_by_disagreement_plus_noise():
     model = far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8)
     n = 200_000
     ds = make_dataset(spec, model, n, seed=44)
-    rate = ds.noise_rate
+    rate = float(np.mean(ds.flipped))
     rng = np.random.default_rng(45)
     W = rng.standard_normal((64, 2))
     W /= np.linalg.norm(W, axis=1)[:, None]
-    errs = zero_one_errors(W, ds)
+    errs = zero_one_errors(W, ds) / n
     for w, err in zip(W, errs):
         theta = math.acos(max(-1.0, min(1.0, float(w @ w_star))))
         p = min(max(err, 1.0 / n), 1.0 - 1.0 / n)

@@ -109,7 +109,7 @@ def test_far_flip_supports_higher_dimensions():
     ds = make_dataset(spec, model, 100_000, seed=5)
     assert ds.x.shape == (100_000, 6)
     expected = 0.05 * (0.5 + (math.pi / 8) / math.pi)
-    assert abs(ds.noise_rate - expected) <= 4.0 * math.sqrt(expected * (1 - expected) / 100_000)
+    assert abs(np.mean(ds.flipped) - expected) <= 4.0 * math.sqrt(expected * (1 - expected) / 100_000)
 
 
 def test_flip_mass_bounded_by_tail_mass():
@@ -145,7 +145,7 @@ def test_wstar_error_equals_flip_rate_exactly():
     spec = dist.gaussian(2)
     model = far_flip(E2, Z=dist.z_for_tail_mass(spec, 0.05), theta2=0.3)
     ds = make_dataset(spec, model, 50_000, seed=31)
-    assert estimate_err01(E2, ds) == ds.noise_rate
+    assert estimate_err01(E2, ds) == np.mean(ds.flipped)
 
 
 def test_make_dataset_clean_and_deterministic():
@@ -180,7 +180,7 @@ def test_make_dataset_noise_rate_matches_sector_mass():
     n = 400_000
     ds = make_dataset(spec, model, n, seed=13)
     p = 0.1 * (0.5 + theta2 / math.pi)
-    assert abs(ds.noise_rate - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
+    assert abs(np.mean(ds.flipped) - p) <= 4.0 * math.sqrt(p * (1 - p) / n)
 
 
 def test_make_dataset_dimension_mismatch():
