@@ -17,6 +17,7 @@ from .distributions import (
     sample,
     solve_isotropic_params,
     truncated_first_moment,
+    truncated_second_moment,
     well_behaved_params,
     z_for_tail_mass,
 )

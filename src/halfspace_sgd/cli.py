@@ -12,10 +12,11 @@ lowerbound  cone certification: min ||grad C|| over the admissible cone for
             every requested (loss, family).
 
 Configs are flat ``key = value`` text files (lists comma-separated, ``#``
-comments). All randomness flows from the declared seeds, so a rerun with the
-same config produces a byte-identical CSV; wall-clock timing is only written
-when --timing is passed. Exit codes: 0 success, 1 numeric failure (partial
-CSV keeps a FAILED marker row), 2 usage or config error.
+comments, each key at most once). All randomness flows from the declared
+seeds, so a rerun with the same config produces a byte-identical CSV;
+wall-clock timing is only written when --timing is passed. Exit codes: 0
+success, 1 numeric failure (partial CSV keeps a FAILED marker row), 2 usage
+or config error.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .geometry import angle_between, unit_vector
 from .learner import LearnerConfig, default_holdout_size, derive_seed, learn_batch
 from .losses import convex_surrogate
 from .noise import far_flip, make_dataset
-from .oracle import UNSUPPORTED_PAIRS, QuadratureSpec, admissible_theta, predicted_floor, scan_cone
+from .oracle import ORACLE_KINDS, QuadratureSpec, admissible_theta, predicted_floor, scan_cone
 
 __all__ = ["main"]
 
@@ -120,6 +121,7 @@ def parse_config(path: str, command: str) -> dict:
         text = open(path).read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -130,6 +132,9 @@ def parse_config(path: str, command: str) -> dict:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         if key not in schema:
             raise ConfigError(f"unknown config key {key!r} for command {command!r}")
+        if key in seen:
+            raise ConfigError(f"line {lineno}: config key {key!r} is set twice")
+        seen.add(key)
         parser = schema[key][0]
         try:
             cfg[key] = parser(value)
@@ -213,19 +218,14 @@ def _learn_groups(cfg) -> tuple:
     return spec, lc, groups
 
 
-def _learn_run(spec, lc, groups, seeds, timing: bool, per_sigma_rows: bool,
-               workers: int, header_width: int):
+def _learn_run(spec, lc, groups, seeds, timing: bool, per_sigma_rows: bool, workers: int) -> list:
     """Advance the runs of every group in one lockstep batch, then spread the
-    per-group reports over the workers; a PSGD failure marks every group
-    FAILED."""
+    per-group reports over the workers; a PSGD failure fails every group."""
     try:
         outcomes = learn_batch(spec, groups, lc, seeds, map_groups=partial(_map_groups, workers=workers))
     except Exception as exc:
         outcomes = [exc] * len(groups)
-    return _collect(
-        [out if isinstance(out, Exception) else _report_rows(out, timing, per_sigma_rows) for out in outcomes],
-        header_width,
-    )
+    return [out if isinstance(out, Exception) else _report_rows(out, timing, per_sigma_rows) for out in outcomes]
 
 
 def _report_rows(reports, timing: bool, per_sigma_rows: bool) -> list[list]:
@@ -325,9 +325,9 @@ def _lowerbound_groups(cfg) -> list[tuple]:
     groups = []
     for kind in cfg["losses"]:
         loss = convex_surrogate(kind)
+        if kind not in ORACLE_KINDS:
+            raise ValueError(f"the oracle implements the {' and '.join(ORACLE_KINDS)} losses, not {kind}")
         for family in cfg["families"]:
-            if (kind, family) in UNSUPPORTED_PAIRS:
-                raise ValueError(f"the {kind} oracle is not implemented for the {family} family")
             spec = _make_spec(family, 2, cfg["s"])
             Z = dist.z_for_tail_mass(spec, cfg["opt"])
             groups.append((loss, spec, cfg["opt"], Z, admissible_theta(spec, Z), cfg["grid_points"], quad))
@@ -339,7 +339,7 @@ def _lowerbound_group(args) -> list[list]:
     rep = scan_cone(loss, spec, Z, theta, grid_points, quad)
     certified = rep.min_grad_norm > 10.0 * rep.max_quad_error
     return [[
-        loss.kind, spec.family, opt, rep.Z, theta, rep.theta, rep.grid_points,
+        rep.loss, rep.family, opt, rep.Z, theta, rep.theta, rep.grid_points,
         rep.min_grad_norm, rep.argmin_angle, rep.max_quad_error, certified,
     ]]
 
@@ -382,26 +382,22 @@ def _collect(outcomes, header_width: int):
     return rows, failed
 
 
-def _run_groups(groups, worker, workers: int, header_width: int):
-    """Run one worker per group (see _map_groups); returns (rows, any_failure)."""
-    return _collect(_map_groups(worker, groups, workers), header_width)
-
-
 def _build_groups(command: str, cfg: dict, timing: bool):
-    """(CSV header, run) for a command, with run(workers, header_width) ->
-    (rows, any_failure); every spec, noise model, LearnerConfig and scan input
-    is built here, so a bad value raises ValueError before any group runs."""
+    """(CSV header, run) for a command, with run(workers) -> one outcome per
+    group for _collect (see _map_groups); every spec, noise model,
+    LearnerConfig and scan input is built here, so a bad value raises
+    ValueError before any group runs."""
     if command == "lowerbound":
         if not cfg["families"] or not cfg["losses"]:
             raise ValueError("families and losses must be nonempty")
-        return _LOWERBOUND_HEADER, partial(_run_groups, _lowerbound_groups(cfg), _lowerbound_group)
+        return _LOWERBOUND_HEADER, partial(_map_groups, _lowerbound_group, _lowerbound_groups(cfg))
     if not cfg["opt_list"]:
         raise ValueError("opt_list must be nonempty")
     if any(not 0.0 < o < 0.5 for o in cfg["opt_list"]):
         raise ValueError("opt_list values must lie in (0, 1/2)")
     seeds = [cfg["seed_base"] + j for j in range(cfg["seeds"])]
     if command == "compare":
-        return _COMPARE_HEADER, partial(_run_groups, _compare_groups(cfg, seeds), _compare_group)
+        return _COMPARE_HEADER, partial(_map_groups, _compare_group, _compare_groups(cfg, seeds))
     header = _SWEEP_HEADER if command == "sweep" else _LEARN_HEADER
     return header, partial(_learn_run, *_learn_groups(cfg), seeds, timing, command == "sweep")
 
@@ -438,7 +434,7 @@ def main(argv=None) -> int:
         print(f"halfspace-bench: config error: {exc}", file=sys.stderr)
         return 2
 
-    rows, failed = run(args.workers, len(header))
+    rows, failed = _collect(run(args.workers), len(header))
 
     if args.command == "lowerbound":
         failed = failed or any(not bool(row[-1]) or row[0] == "FAILED" for row in rows)

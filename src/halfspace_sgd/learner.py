@@ -18,13 +18,8 @@ rate equals the one the whole set gives. The first holdout block also feeds
 the per-width gradient-norm diagnostic. The 2D radial families draw all n
 points at once, so their sets come as one block.
 
-The analysis constant C = R^4/(2^15 U^3), from the (U, R) of the marginal
-(distributions.well_behaved_params), is below 1e-7 for the stock families
-(3.0e-8 Gaussian, 8.5e-8 log-concave, 4.3e-8 heavy-tailed at s = 3). It is
-kept on each TrialReport (c_const and opt_exceeds_constant) but not
-enforced, and the CLI does not write it:
-experiments run on a desk-scale grid and a capped step count (whether the
-target gradient norm was reached is recorded per width).
+Experiments run on a desk-scale grid and a capped step count; whether the
+target gradient norm was reached is recorded per width (reached_rho).
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ __all__ = [
     "LearnerConfig",
     "TrialReport",
     "SigmaDiagnostic",
-    "c_const_for",
     "default_holdout_size",
     "zero_one_errors",
     "learn",
@@ -88,12 +82,6 @@ class LearnerConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.holdout_size is not None and self.holdout_size < 1:
             raise ValueError("holdout_size must be >= 1")
-
-
-def c_const_for(spec) -> float:
-    """R^4 / (2^15 U^3) with the (U, R) of the spec's marginal."""
-    p = dist.well_behaved_params(spec)
-    return p.R**4 / (2.0**15 * p.U**3)
 
 
 def default_holdout_size(d: int, epsilon: float, delta: float) -> int:
@@ -178,9 +166,6 @@ class TrialReport:
     T_used: int
     beta: float
     wall_ms: float
-    c_const: float
-    holdout_size: int
-    opt_exceeds_constant: bool
     per_sigma: list[SigmaDiagnostic] = field(default_factory=list)
 
 
@@ -276,7 +261,6 @@ def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
         flipped += int(np.count_nonzero(block.flipped))
         wrong_w += int(_zero_one_errors_blocked(w[None, :], block)[0])
 
-    c_const = c_const_for(spec)
     return TrialReport(
         seed=int(seed),
         family=spec.family,
@@ -289,8 +273,5 @@ def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
         T_used=config.t_cap,
         beta=PsgdConfig(T=config.t_cap, sigma=sigma_best, rho=config.rho).step_size,
         wall_ms=(shared_s + time.perf_counter() - t0) * 1e3,
-        c_const=c_const,
-        holdout_size=n_hold,
-        opt_exceeds_constant=bool(opt_target >= c_const) if not math.isnan(opt_target) else True,
         per_sigma=per_sigma,
     )

@@ -60,11 +60,11 @@ class LockstepResult:
     kept_steps: np.ndarray  # (m,) 1-based step indices, the last is T
 
 
-def psgd_lockstep(streams, config, keep_every: int = 1) -> LockstepResult:
+def psgd_lockstep(streams, configs, keep_every: int = 1) -> LockstepResult:
     """Advance len(streams) independent PSGD runs in lockstep.
 
-    `config` is one PsgdConfig shared by all runs, or a sequence of configs
-    (one per stream, equal T) whose sigma and rho may differ per row. Keeps
+    `configs` holds one PsgdConfig per stream, all with the same T; sigma and
+    rho may differ per row. Keeps
     every `keep_every`-th iterate (and always the last). Row-local arithmetic
     only, so each row reproduces its solo run bitwise.
 
@@ -72,14 +72,11 @@ def psgd_lockstep(streams, config, keep_every: int = 1) -> LockstepResult:
     rows than asked raises RuntimeError.
     """
     k = len(streams)
-    if isinstance(config, PsgdConfig):
-        configs = [config] * k
-    else:
-        configs = list(config)
-        if len(configs) != k:
-            raise ValueError("need one config per stream")
-        if len({c.T for c in configs}) != 1:
-            raise ValueError("lockstep runs must share T")
+    configs = list(configs)
+    if len(configs) != k:
+        raise ValueError("need one config per stream")
+    if len({c.T for c in configs}) != 1:
+        raise ValueError("lockstep runs must share T")
     T = configs[0].T
     beta = np.array([c.step_size for c in configs])[:, None]
     sigma = np.array([c.sigma for c in configs])

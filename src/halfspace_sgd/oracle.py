@@ -13,11 +13,11 @@ reduces exactly to a radial integral,
 
 because the angular factor -y r cos(phi) l'(-y rho r sin phi) is a perfect
 derivative in phi. The second coordinate is integrated with loss-specific
-inner rules: closed-form partial radial moments for hinge and squared hinge
-(whose slope is piecewise linear in r), a smooth 2D tensor rule for the
-logistic. All pieces are split at every kink locus before quadrature, so the
-panel-doubling error estimates are honest; quadrature.refine_by_doubling
-floors every one of them at double-precision roundoff.
+inner rules: a closed-form partial radial moment for the hinge (whose slope
+is a step in r), a smooth 2D tensor rule for the logistic. All pieces are
+split at every kink locus before quadrature, so the panel-doubling error
+estimates are honest; quadrature.refine_by_doubling floors every one of
+them at double-precision roundoff.
 
 Batching: every sector x annulus x kink-split piece of every point of a scan
 is one row of one of two rules (the radial first coordinate; the angular or
@@ -32,9 +32,12 @@ scan_cone bitwise.
 
 Truncation: integrals stop at r_max chosen from the closed-form tails so the
 neglected mass contributes less than tol/10 (heavy-tailed families need
-r_max growing like (1/tol)^(1/(s-1))). For the logistic and hinge losses the
-bound does not depend on w, so it is found once per batch; the squared
-hinge's grows with ||w|| and is found per point.
+r_max growing like (1/tol)^(1/(s-1))). The bound uses |l'| <= 1 alone, so it
+does not depend on w and is found once per batch.
+
+The oracle implements the losses in ORACLE_KINDS and raises ValueError for
+any other: the squared hinge's slope is unbounded, so its tail bound would
+grow with ||w||.
 """
 
 from __future__ import annotations
@@ -62,9 +65,7 @@ __all__ = [
 ]
 
 ANGLE_MARGIN = 1e-9  # safety margin subtracted from the admissible cone angle
-# (loss kind, family) pairs the oracle refuses for every s: the truncation
-# bound for the unbounded squared-hinge slope is only derived for light tails
-UNSUPPORTED_PAIRS = frozenset({("squared_hinge", "heavy_tailed")})
+ORACLE_KINDS = ("logistic", "hinge")  # the convex losses the oracle integrates
 _BLOCK_NODES = 1 << 17  # nodes per stacked array pass: bounds a level's temporaries
 _TENSOR_NODES = 16_000_000  # node budget of one 2D tensor cell
 _RADIAL_PANELS = 4  # initial panels of every radial interval
@@ -91,31 +92,16 @@ class ConeScanReport:
     family: str
     Z: float
     theta: float
-    theta2: float
     grid_points: int
     min_grad_norm: float
-    argmin_w: np.ndarray
     argmin_angle: float
     max_quad_error: float
 
 
-def _auto_r_max(loss: ConvexSurrogate, spec, rho: float, tol: float) -> float:
-    """Truncation radius: neglected tail contributes <= tol/10 to the gradient."""
-    if (loss.kind, spec.family) in UNSUPPORTED_PAIRS:
-        raise NotImplementedError(f"the {loss.kind} oracle is not implemented for the {spec.family} family")
-    if loss.kind in ("logistic", "hinge"):
-        # |grad tail| <= E[1{r >= R} r] since l' <= 1
-        def bound(R):
-            return dist.truncated_first_moment(spec, R)
-    else:
-        # |grad tail| <= E[1{r >= R} r * 2(1 + rho r)]
-        def bound(R):
-            return (
-                2.0 * dist.truncated_first_moment(spec, R)
-                + 2.0 * rho * dist.truncated_second_moment(spec, R)
-            )
-
-    return dist._invert_decreasing(bound, tol / 10.0)
+def _auto_r_max(spec, tol: float) -> float:
+    """Truncation radius: neglected tail contributes <= tol/10 to the
+    gradient, as |grad tail| <= E[1{r >= R} r] when |l'| <= 1."""
+    return dist._invert_decreasing(lambda R: dist.truncated_first_moment(spec, R), tol / 10.0)
 
 
 def _sector_break_angles(model: NoiseModel, frame_shift: float) -> np.ndarray:
@@ -134,8 +120,8 @@ def _split_at(points, lo: float, hi: float) -> list[tuple[float, float]]:
 
 
 def _radial_kinks(loss, rho, y, s1, s2) -> list[float]:
-    """Radii where the hinge-type loss of -y rho r s_i kinks (-y rho r s_i = -1)."""
-    if loss.kind not in ("hinge", "squared_hinge"):
+    """Radii where the hinge of -y rho r s_i kinks (-y rho r s_i = -1)."""
+    if loss.kind != "hinge":
         return []
     return [1.0 / (rho * y * s) for s in (s1, s2) if y * s > 1e-300]
 
@@ -189,13 +175,8 @@ def _partial_m2(spec, a, b):
     return (dist.truncated_first_moment(spec, a) - dist.truncated_first_moment(spec, b)) / (2.0 * math.pi)
 
 
-def _partial_m3(spec, a, b):
-    """int_a^b r^3 gamma(r) dr, elementwise over arrays."""
-    return (dist.truncated_second_moment(spec, a) - dist.truncated_second_moment(spec, b)) / (2.0 * math.pi)
-
-
-def _angular_integrand(loss, spec, params, phi):
-    """Second coordinate for hinge/squared hinge, params (y, rho, ra, rb).
+def _angular_integrand(spec, params, phi):
+    """Second coordinate for the hinge, params (y, rho, ra, rb).
     The slope is supported on r <= 1/(rho y sin phi) (when y sin phi > 0), so
     the inner radial integral over [ra, rb] is a closed-form partial moment
     and only the angle is integrated."""
@@ -204,11 +185,7 @@ def _angular_integrand(loss, spec, params, phi):
     ys = y * s
     hi = np.where(ys > 1e-300, np.minimum(rb, 1.0 / (rho * np.maximum(ys, 1e-300))), rb)
     hi = np.maximum(hi, ra)
-    if loss.kind == "hinge":
-        inner = _partial_m2(spec, ra, hi)
-    else:
-        inner = 2.0 * _partial_m2(spec, ra, hi) - 2.0 * rho * ys * _partial_m3(spec, ra, hi)
-    return (-y * s) * inner
+    return (-y * s) * _partial_m2(spec, ra, hi)
 
 
 def _tensor_level(spec, tol, rows, k):
@@ -288,21 +265,19 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
     in one refine_by_doubling call. A piece's arithmetic depends on that
     piece alone and each point sums its pieces in a fixed order, so a point's
     row does not depend on the other points, bitwise. The truncation radius
-    is found once per call, or per point for the squared hinge, whose tail
-    bound grows with ||w||.
+    is found once per call. ValueError for a loss not in ORACLE_KINDS.
     """
-    Z = model.Z
+    if loss.kind not in ORACLE_KINDS:
+        raise ValueError(f"the oracle implements the {' and '.join(ORACLE_KINDS)} losses, not {loss.kind}")
+    Z, r_max = model.Z, _auto_r_max(spec, quad.tol)
+    annuli = [(0.0, r_max)] if Z >= r_max else [(0.0, Z), (Z, r_max)]  # S^c, then S
     radial, second = [], []  # parameter rows of the two coordinates' rules
     radial_at, second_at = [], []  # 2 * point + (1 if the piece lies in S)
     shifts = []
-    r_max = None
     for i, w in enumerate(ws):
         rho = float(np.linalg.norm(w))
         frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
         shifts.append(frame_shift)
-        if r_max is None or loss.kind == "squared_hinge":
-            r_max = _auto_r_max(loss, spec, rho, quad.tol)
-        annuli = [(0.0, r_max)] if Z >= r_max else [(0.0, Z), (Z, r_max)]  # S^c, then S
         brk = _sector_break_angles(model, frame_shift).tolist()
         pieces = [(p1, p2, ra, rb, 2 * i + j) for p1, p2 in zip(brk, brk[1:] + [brk[0] + 2.0 * math.pi])
                   for j, (ra, rb) in enumerate(annuli)]
@@ -328,7 +303,7 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
             f"the 2D tensor rule over r in [{row[4]:g}, {row[5]:g}], phi in [{row[2]:g}, {row[3]:g}]"))
     else:
         second_rule = _Rule(np.array(second), partial(
-            _line_level, partial(_angular_integrand, loss, spec), False, _ANGULAR_PANELS),
+            _line_level, partial(_angular_integrand, spec), False, _ANGULAR_PANELS),
             lambda row: f"phi in [{row[0]:g}, {row[1]:g}]")
     radial_rule = _Rule(np.array(radial), partial(
         _line_level, partial(_radial_integrand, loss, spec), True, _RADIAL_PANELS),
@@ -356,9 +331,10 @@ def convex_population_grad(loss: ConvexSurrogate, w, spec, model: NoiseModel,
     """grad C(w) = E[-y x l'(-y <x, w>)] under the model's label rule.
 
     Returns (grad, error estimate, {'S': grad over S, 'Sc': grad over S^c}),
-    all in the original coordinates. Raises QuadratureError if panel doubling
-    fails to converge or quad.tol is below the roundoff floor of an integral;
-    never returns a silent estimate. This is the one-point case of the scan
+    all in the original coordinates. Raises ValueError for a loss not in
+    ORACLE_KINDS, and QuadratureError if panel doubling fails to converge or
+    quad.tol is below the roundoff floor of an integral; never returns a
+    silent estimate. This is the one-point case of the scan
     path, so it equals the same point inside scan_cone bitwise.
     """
     w = np.asarray(w, dtype=float)
@@ -413,10 +389,8 @@ def scan_cone(loss: ConvexSurrogate, spec, Z: float, theta: float, grid_points: 
         family=spec.family,
         Z=float(Z),
         theta=float(theta),
-        theta2=2.0 * float(theta),
         grid_points=int(grid_points),
         min_grad_norm=norms[best],
-        argmin_w=ws[best],
         argmin_angle=float(angles[best]),
         max_quad_error=float(np.max(errors)),
     )

@@ -230,7 +230,7 @@ def reference_population_grad(loss, w, spec, model, quad):
     w = np.asarray(w, dtype=float)
     rho = float(np.linalg.norm(w))
     frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
-    r_max = oracle._auto_r_max(loss, spec, rho, quad.tol)
+    r_max = oracle._auto_r_max(spec, quad.tol)
     annuli = [(0.0, r_max)] if model.Z >= r_max else [(0.0, model.Z), (model.Z, r_max)]
     brk = oracle._sector_break_angles(model, frame_shift).tolist()
     grad, err = np.zeros(2), quad.tol / 10.0
@@ -250,10 +250,7 @@ def reference_population_grad(loss, w, spec, model, quad):
                 ys = y * s
                 hi = np.where(ys > 1e-300, np.minimum(rb, 1.0 / (rho * np.maximum(ys, 1e-300))), rb)
                 hi = np.maximum(hi, ra)
-                inner = oracle._partial_m2(spec, ra, hi)
-                if loss.kind == "squared_hinge":
-                    inner = 2.0 * inner - 2.0 * rho * ys * oracle._partial_m3(spec, ra, hi)
-                return (-y * s) * inner
+                return (-y * s) * oracle._partial_m2(spec, ra, hi)
 
             for a, b in oracle._split_at(oracle._radial_kinks(loss, rho, y, s1, s2), ra, rb):
                 v, e = integrate_refining(radial, a, b, quad.tol, oracle._RADIAL_PANELS, oracle._MAX_DOUBLINGS,

@@ -83,7 +83,8 @@ def test_c2_sphere_invariant():
     # at 100 sampled steps
     spec = dist.gaussian(5)
     model = far_flip(unit_vector(5, 1), Z=dist.z_for_tail_mass(spec, 0.02), theta2=math.pi / 8)
-    iterates = psgd_lockstep([NoisyExampleStream(spec, model, seed=2002)], PsgdConfig(T=10_000, sigma=0.1)).kept[0]
+    stream = NoisyExampleStream(spec, model, seed=2002)
+    iterates = psgd_lockstep([stream], [PsgdConfig(T=10_000, sigma=0.1)]).kept[0]
     norms = np.linalg.norm(iterates, axis=1)
     max_norm_err = float(np.max(np.abs(norms - 1.0)))
     assert max_norm_err <= 1e-12

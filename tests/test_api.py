@@ -1,9 +1,11 @@
 """The public surface resolves: every module's __all__, every name the
 package __init__ imports, and every (module, attribute) pair the benchmark's
 tracer wraps (bench/spans.py TARGETS). Every exported name is used by the
-package itself, so test-only forms stay in tests/helpers.py."""
+package itself, so test-only forms stay in tests/helpers.py, and every report
+field is read by the CLI, so no field is computed for no output."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -63,6 +65,19 @@ def test_every_exported_name_is_used_in_the_package():
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
                 unused += [f"{module_name}.{name}" for name in ast.literal_eval(node.value) if name not in used]
     assert unused == []
+
+
+def test_every_report_field_is_read_by_the_cli():
+    # a field of a report dataclass that cli.py never reads as an attribute
+    # reaches no CSV: it belongs out of the report
+    from halfspace_sgd.learner import SigmaDiagnostic, TrialReport
+    from halfspace_sgd.oracle import ConeScanReport
+
+    tree = ast.parse((ROOT / "src" / "halfspace_sgd" / "cli.py").read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unread = [f"{report.__name__}.{f.name}" for report in (TrialReport, SigmaDiagnostic, ConeScanReport)
+              for f in dataclasses.fields(report) if f.name not in read]
+    assert unread == []
 
 
 def test_bench_trace_targets_resolve():

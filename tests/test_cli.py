@@ -50,6 +50,14 @@ grid_points = 3
 """
 
 
+def _with(text: str, *lines: str) -> str:
+    """The config text with each 'key = value' line in place of that key's
+    own line, or appended when the key is not set."""
+    keys = {line.split("=", 1)[0].strip() for line in lines}
+    kept = [line for line in text.splitlines() if line.split("=", 1)[0].strip() not in keys]
+    return "\n".join(kept + list(lines)) + "\n"
+
+
 def _rows(path: Path):
     lines = path.read_text().splitlines()
     assert lines[-1].startswith("# halfspace-sgd-")
@@ -105,38 +113,40 @@ def test_malformed_line_exits_2(tmp_path):
     ("lowerbound", TINY_LOWERBOUND.replace("families = gaussian", "families = heavy_tailed\ns = 5.0")
      .replace("losses = logistic", "losses = squared_hinge"), [], "squared_hinge"),
     ("learn", TINY_LEARN.replace("d = 3", "d = 1"), [], "dimension must be >= 2"),
-    ("learn", TINY_LEARN + "stride = 0\n", [], "stride must be >= 1"),
-    ("learn", TINY_LEARN + "t_cap = 0\n", [], "t_cap must be >= 1"),
-    ("learn", TINY_LEARN + "eval_size = 0\n", [], "eval_size must be >= 1"),
-    ("learn", TINY_LEARN + "holdout_size = -5\n", [], "holdout_size must be >= 1"),
-    ("learn", TINY_LEARN + "grid = -0.1\n", [], "sigma grid"),
-    ("learn", TINY_LEARN + "theta2 = 1.0\n", [], "theta2"),
-    ("learn", TINY_LEARN + "epsilon = 2\n", [], "epsilon"),
-    ("learn", TINY_LEARN + "rho = -1\n", [], "rho must be positive"),
-    ("learn", TINY_LEARN + "rho = 0\n", [], "rho must be positive"),
-    ("compare", TINY_COMPARE + "conv_n = 0\n", [], "conv_n must be >= 1"),
-    ("compare", TINY_COMPARE + "holdout_k = 0\n", [], "holdout_size must be >= 1"),
-    ("lowerbound", TINY_LOWERBOUND + "grid_points = 0\n", [], "grid_points must be >= 1"),
-    ("lowerbound", TINY_LOWERBOUND + "opt = 0\n", [], "tail mass"),
-    ("lowerbound", TINY_LOWERBOUND + "tol = 0\n", [], "tol must be finite and > 0"),
-    ("lowerbound", TINY_LOWERBOUND + "tol = nan\n", [], "tol must be finite and > 0"),
-    ("compare", TINY_COMPARE + "gtol = -1\n", [], "gtol must be finite and > 0"),
-    ("compare", TINY_COMPARE + "gtol = nan\n", [], "gtol must be finite and > 0"),
-    ("learn", TINY_LEARN + "rho = inf\n", [], "rho must be positive and finite"),
-    ("learn", TINY_LEARN + "grid = inf, 0.1\n", [], "sigma grid must be nonempty, positive and finite"),
-    ("lowerbound", TINY_LOWERBOUND + "opt = 1\n", [], "opt (the tail mass) must lie in (0, 1)"),
-    ("learn", TINY_LEARN + "holdout_size = 0\nepsilon = 1e-200\n", [], "overflow the default holdout size"),
-    ("learn", TINY_LEARN + "seed_base = -5\n", [], "seed_base must be >= 0"),
-    ("compare", TINY_COMPARE + "losses =\n", [], "losses must be nonempty"),
-    ("compare", TINY_COMPARE + "holdout_k = inf\n", [], "holdout_k must be finite"),
-    ("learn", TINY_LEARN + "holdout_size = 0\nepsilon = 1e-100\n", [], "the largest array numpy can index"),
-    ("learn", TINY_LEARN + "holdout_size = 1000000000000000000\n", [], "holdout_size = 1000000000000000000"),
+    ("learn", _with(TINY_LEARN, "stride = 0"), [], "stride must be >= 1"),
+    ("learn", _with(TINY_LEARN, "t_cap = 0"), [], "t_cap must be >= 1"),
+    ("learn", _with(TINY_LEARN, "eval_size = 0"), [], "eval_size must be >= 1"),
+    ("learn", _with(TINY_LEARN, "holdout_size = -5"), [], "holdout_size must be >= 1"),
+    ("learn", _with(TINY_LEARN, "grid = -0.1"), [], "sigma grid"),
+    ("learn", _with(TINY_LEARN, "theta2 = 1.0"), [], "theta2"),
+    ("learn", _with(TINY_LEARN, "epsilon = 2"), [], "epsilon"),
+    ("learn", _with(TINY_LEARN, "rho = -1"), [], "rho must be positive"),
+    ("learn", _with(TINY_LEARN, "rho = 0"), [], "rho must be positive"),
+    ("compare", _with(TINY_COMPARE, "conv_n = 0"), [], "conv_n must be >= 1"),
+    ("compare", _with(TINY_COMPARE, "holdout_k = 0"), [], "holdout_size must be >= 1"),
+    ("lowerbound", _with(TINY_LOWERBOUND, "grid_points = 0"), [], "grid_points must be >= 1"),
+    ("lowerbound", _with(TINY_LOWERBOUND, "opt = 0"), [], "tail mass"),
+    ("lowerbound", _with(TINY_LOWERBOUND, "tol = 0"), [], "tol must be finite and > 0"),
+    ("lowerbound", _with(TINY_LOWERBOUND, "tol = nan"), [], "tol must be finite and > 0"),
+    ("compare", _with(TINY_COMPARE, "gtol = -1"), [], "gtol must be finite and > 0"),
+    ("compare", _with(TINY_COMPARE, "gtol = nan"), [], "gtol must be finite and > 0"),
+    ("learn", _with(TINY_LEARN, "rho = inf"), [], "rho must be positive and finite"),
+    ("learn", _with(TINY_LEARN, "grid = inf, 0.1"), [], "sigma grid must be nonempty, positive and finite"),
+    ("lowerbound", _with(TINY_LOWERBOUND, "opt = 1"), [], "opt (the tail mass) must lie in (0, 1)"),
+    ("learn", _with(TINY_LEARN, "holdout_size = 0", "epsilon = 1e-200"), [], "overflow the default holdout size"),
+    ("learn", _with(TINY_LEARN, "seed_base = -5"), [], "seed_base must be >= 0"),
+    ("compare", _with(TINY_COMPARE, "losses ="), [], "losses must be nonempty"),
+    ("compare", _with(TINY_COMPARE, "holdout_k = inf"), [], "holdout_k must be finite"),
+    ("learn", _with(TINY_LEARN, "holdout_size = 0", "epsilon = 1e-100"), [], "the largest array numpy can index"),
+    ("learn", _with(TINY_LEARN, "holdout_size = 1000000000000000000"), [], "holdout_size = 1000000000000000000"),
+    ("lowerbound", TINY_LOWERBOUND.replace("losses = logistic", "losses = squared_hinge"), [], "squared_hinge"),
+    ("lowerbound", TINY_LOWERBOUND + "grid_points = 5\n", [], "'grid_points' is set twice"),
 ], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2",
         "squared-hinge-heavy", "d-1", "stride-0", "t_cap-0", "eval_size-0", "holdout_size-neg",
         "grid-neg", "theta2-1", "epsilon-2", "rho-neg", "rho-0", "conv_n-0", "holdout_k-0",
         "grid_points-0", "opt-0", "tol-0", "tol-nan", "gtol-neg", "gtol-nan", "rho-inf", "grid-inf",
         "opt-1", "epsilon-tiny-default-holdout", "seed_base-neg", "compare-no-losses", "holdout_k-inf",
-        "epsilon-1e-100-default-holdout", "holdout_size-1e18"])
+        "epsilon-1e-100-default-holdout", "holdout_size-1e18", "squared-hinge-gaussian", "repeated-key"])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flags, needle):
     out = tmp_path / "o.csv"
     cfg = _write(tmp_path / "c.txt", text)
@@ -178,7 +188,7 @@ def test_run_groups_caps_workers_and_marks_failures(tmp_path, monkeypatch):
     # (workers, groups) -> pool sizes started: min(workers, groups, usable CPUs), none when 1
     for workers, n_groups, pools in [(8, 2, [2]), (8, 5, [3]), (2, 5, [2]), (1, 5, []), (8, 1, [])]:
         started.clear()
-        rows, failed = cli._run_groups(list(range(n_groups)), worker, workers, 2)
+        rows, failed = cli._collect(cli._map_groups(worker, list(range(n_groups)), workers), 2)
         assert started == pools
         assert failed == (n_groups > 1)
         assert [r[0] for r in rows] == [0, "FAILED", 2, 3, 4][:n_groups]

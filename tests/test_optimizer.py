@@ -13,7 +13,7 @@ from helpers import ArrayStream, loop_grad_norms
 
 def _solo(stream, config):
     """Every iterate of one run advanced alone."""
-    return psgd_lockstep([stream], config, keep_every=1).kept[0]
+    return psgd_lockstep([stream], [config], keep_every=1).kept[0]
 
 
 def test_config_validation():
@@ -83,7 +83,7 @@ def test_lockstep_rows_match_solo_runs():
 def test_lockstep_strides_and_final():
     spec = dist.gaussian(2)
     stream = NoisyExampleStream(spec, clean_labels(unit_vector(2, 1)), seed=1)
-    out = psgd_lockstep([stream], PsgdConfig(T=1005, sigma=0.2), keep_every=100)
+    out = psgd_lockstep([stream], [PsgdConfig(T=1005, sigma=0.2)], keep_every=100)
     assert out.kept_steps.tolist() == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 1005]
     full = _solo(NoisyExampleStream(spec, clean_labels(unit_vector(2, 1)), seed=1),
                  PsgdConfig(T=1005, sigma=0.2))
@@ -107,7 +107,7 @@ def test_clean_gaussian_run_converges_to_wstar():
     w_star = unit_vector(5, 1)
     model = clean_labels(w_star)
     stream = NoisyExampleStream(spec, model, seed=42)
-    out = psgd_lockstep([stream], PsgdConfig(T=100_000, sigma=0.1), keep_every=200)
+    out = psgd_lockstep([stream], [PsgdConfig(T=100_000, sigma=0.1)], keep_every=200)
     holdout = make_dataset(spec, model, 100_000, seed=43)
     errs = zero_one_errors(out.kept[0], holdout)
     best = out.kept[0][int(np.argmin(errs))]
@@ -175,7 +175,7 @@ def test_stationarity_diagnostic_cone():
     failures = 0
     for seed in range(10):
         stream = NoisyExampleStream(spec, model, seed=100 + seed)
-        out = psgd_lockstep([stream], PsgdConfig(T=20_000, sigma=sigma), keep_every=500)
+        out = psgd_lockstep([stream], [PsgdConfig(T=20_000, sigma=sigma)], keep_every=500)
         dataset = make_dataset(spec, model, batch, seed=200 + seed)
         norms = batch_grad_norms(out.kept[0], dataset, sigma, batch)
         from halfspace_sgd.losses import surrogate_grad_rows
