@@ -21,7 +21,7 @@ from .distributions import (
     well_behaved_params,
     z_for_tail_mass,
 )
-from .losses import ConvexSurrogate, convex_surrogate, sigmoid
+from .losses import ConvexSurrogate, convex_surrogate, sigmoid, surrogate_grad_rows
 from .noise import LabeledDataset, NoiseModel, clean_labels, far_flip, make_dataset
 from .optimizer import PsgdConfig
 from .learner import LearnerConfig, TrialReport, learn

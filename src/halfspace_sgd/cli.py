@@ -288,15 +288,20 @@ def _compare_groups(cfg, seeds) -> list[tuple]:
     return groups
 
 
+def _convex_fits(spec, model, losses, conv_n, conv_seed, gtol) -> list[tuple]:
+    """(loss kind, angle to w*, gradient norm) of each full-batch minimizer on
+    one conv_n-point dataset, which is freed on return."""
+    conv_ds = make_dataset(spec, model, conv_n, conv_seed)
+    fits = []
+    for loss in losses:
+        w_c, gnorm, _ = full_batch_minimize(loss, conv_ds.x, conv_ds.y, w0=model.w_star, gtol=gtol)
+        fits.append((loss.kind, angle_between(w_c / np.linalg.norm(w_c), model.w_star), gnorm))
+    return fits
+
+
 def _compare_group(args) -> list[list]:
     spec, model, lc, losses, opt, floor, seeds, conv_n, conv_seed, gtol = args
-    w_star = model.w_star
-    conv_ds = make_dataset(spec, model, conv_n, conv_seed)
-    convex = []
-    for loss in losses:
-        w_c, gnorm, _ = full_batch_minimize(loss, conv_ds.x, conv_ds.y, w0=w_star, gtol=gtol)
-        convex.append((loss.kind, angle_between(w_c / np.linalg.norm(w_c), w_star), gnorm))
-
+    convex = _convex_fits(spec, model, losses, conv_n, conv_seed, gtol)
     reports = learn_batch(spec, [(model, opt)], lc, seeds)[0]
     rows = []
     for kind, c_angle, c_gnorm in convex:

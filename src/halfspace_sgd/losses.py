@@ -9,9 +9,10 @@ conventions:
   (the classical objective the lower-bound oracle certifies against).
 
 The sigmoid surrogate's gradient is exact and computed over rows, one per
-(iterate, example) pair, for the optimizer. The convex surrogates give the
-value and slope of l at given margins; the full-batch baselines take their
-means over a dataset from one margin vector.
+(iterate, example) pair; it is the definition the optimizer's fused
+unit-sphere step is checked against. The convex surrogates give the value and
+slope of l at given margins; the full-batch baselines take their means over a
+dataset from one margin vector.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def sigmoid_slope(t, sigma: float = 1.0):
     """d/dt sigmoid(t, sigma) = e / (sigma (1 + e)^2) with e = exp(-|t|/sigma).
 
     Even in t, no sign masks, and no overflow at any finite t/sigma. sigma is
-    a scalar or broadcasts against t; it is not checked here (this runs once
-    per PSGD step), so callers pass validated widths (PsgdConfig,
-    LearnerConfig).
+    a scalar or broadcasts against t; it is not checked here (the optimizer
+    calls it on every step's k margins), so callers pass validated widths
+    (PsgdConfig, LearnerConfig).
     """
     e = np.exp(-np.abs(t) / sigma)
     return e / (sigma * (1.0 + e) ** 2)
@@ -66,8 +67,9 @@ def surrogate_grad_rows(W, X, y, sigma: float) -> np.ndarray:
     With h = <w,x>/||w|| the gradient is -y S'_sigma(h)/||w|| * (x - (h/||w||) w)
     (S' is even); for unit-norm w it is orthogonal to w. W and X are (k, d);
     y is (k,); sigma is a scalar or one width per row. Row-local: row i does
-    not depend on the other rows. Used by the optimizer, where every step
-    pairs the current iterate with one fresh example.
+    not depend on the other rows. At unit-norm w, w - beta times this row is
+    the optimizer's step before its rescale; the optimizer computes it in
+    fused form, without the 1/||w|| factors.
     """
     W = np.asarray(W, dtype=float)
     X = np.asarray(X, dtype=float)

@@ -5,7 +5,7 @@ epochs), takes a plain gradient step on the sigmoid surrogate and projects
 back to the sphere. psgd_lockstep advances many independent runs at once and
 keeps a strided subset of their iterates; row i of a batch is bit-identical
 to the same run advanced alone (a batch of one) because every operation is
-row-local. Each step is one surrogate_grad_rows call over the batch and one
+row-local. Each step is one fused gradient update over the batch and one
 row-norm rescale. batch_grad_norms gives the empirical gradient norm at many
 iterates from two matmuls.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import unit_vector
-from .losses import sigmoid_slope, surrogate_grad_rows
+from .losses import sigmoid_slope
 
 __all__ = [
     "PsgdConfig",
@@ -64,9 +64,14 @@ def psgd_lockstep(streams, configs, keep_every: int = 1) -> LockstepResult:
     """Advance len(streams) independent PSGD runs in lockstep.
 
     `configs` holds one PsgdConfig per stream, all with the same T; sigma and
-    rho may differ per row. Keeps
-    every `keep_every`-th iterate (and always the last). Row-local arithmetic
-    only, so each row reproduces its solo run bitwise.
+    rho may differ per row. Keeps every `keep_every`-th iterate (and always
+    the last). Row-local arithmetic only, so each row reproduces its solo run
+    bitwise.
+
+    Every iterate has unit norm (e_1, then each rescale), so the step
+    w - beta * surrogate_grad_rows(w, x, y, sigma) drops the gradient's
+    1/||w|| factors: with h = <w, x> and q = y beta S'_sigma(h) (y beta is
+    formed once per chunk), w <- w + q (x - h w), then w <- w / ||w||.
 
     Each stream must provide take(k) -> (X, y); a stream that returns fewer
     rows than asked raises RuntimeError.
@@ -79,7 +84,7 @@ def psgd_lockstep(streams, configs, keep_every: int = 1) -> LockstepResult:
         raise ValueError("lockstep runs must share T")
     T = configs[0].T
     beta = np.array([c.step_size for c in configs])[:, None]
-    sigma = np.array([c.sigma for c in configs])
+    sigma = np.array([c.sigma for c in configs])[:, None]
     kept_steps = list(range(keep_every, T + 1, keep_every))
     if not kept_steps or kept_steps[-1] != T:
         kept_steps.append(T)
@@ -99,14 +104,17 @@ def psgd_lockstep(streams, configs, keep_every: int = 1) -> LockstepResult:
             Xs.append(X)
             ys.append(y)
         Xc = np.stack(Xs, axis=1)  # (take, k, d)
-        yc = np.stack(ys, axis=1)  # (take, k)
+        y_beta = np.stack(ys, axis=1)[:, :, None] * beta  # (take, k, 1)
         if W is None:
             d = Xc.shape[2]
             W = np.tile(unit_vector(d), (k, 1))
             kept = np.empty((k, len(kept_steps), d))
         for j in range(take):
-            V = W - beta * surrogate_grad_rows(W, Xc[j], yc[j], sigma)
-            W = V / np.sqrt(np.einsum("ij,ij->i", V, V))[:, None]
+            x = Xc[j]
+            h = np.vecdot(W, x, keepdims=True)
+            q = y_beta[j] * sigmoid_slope(h, sigma)
+            V = W + q * (x - h * W)
+            W = V / np.sqrt(np.vecdot(V, V, keepdims=True))
             step += 1
             idx = keep_set.get(step)
             if idx is not None:

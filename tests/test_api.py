@@ -2,7 +2,7 @@
 package __init__ imports, and every (module, attribute) pair the benchmark's
 tracer wraps (bench/spans.py TARGETS). Every exported name is used by the
 package itself, so test-only forms stay in tests/helpers.py, and every report
-field is read by the CLI, so no field is computed for no output."""
+field reaches a row the CLI writes, so no field is computed for no output."""
 
 import ast
 import dataclasses
@@ -67,17 +67,43 @@ def test_every_exported_name_is_used_in_the_package():
     assert unused == []
 
 
-def test_every_report_field_is_read_by_the_cli():
-    # a field of a report dataclass that cli.py never reads as an attribute
-    # reaches no CSV: it belongs out of the report
+class _Sentinel(float):
+    """A float that names the report field it fills; arithmetic on it gives a
+    plain float, so only the field itself carries the name into a row."""
+
+    def __new__(cls, value, name):
+        obj = super().__new__(cls, value)
+        obj.name = name
+        return obj
+
+
+def _filled(report, **given):
+    values = {f.name: _Sentinel(1000.0 + i, f"{report.__name__}.{f.name}")
+              for i, f in enumerate(dataclasses.fields(report))}
+    return report(**{**values, **given})
+
+
+def _names(rows):
+    return {v.name for row in rows for v in row if isinstance(v, _Sentinel)}
+
+
+def test_every_report_field_is_read_by_the_cli(monkeypatch):
+    # every field of a report dataclass reaches a CSV row built by the CLI:
+    # learn and sweep rows, with and without --timing, and lowerbound rows
+    from halfspace_sgd import cli
     from halfspace_sgd.learner import SigmaDiagnostic, TrialReport
     from halfspace_sgd.oracle import ConeScanReport
 
-    tree = ast.parse((ROOT / "src" / "halfspace_sgd" / "cli.py").read_text())
-    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    unread = [f"{report.__name__}.{f.name}" for report in (TrialReport, SigmaDiagnostic, ConeScanReport)
-              for f in dataclasses.fields(report) if f.name not in read]
-    assert unread == []
+    trial = _filled(TrialReport, per_sigma=[_filled(SigmaDiagnostic)])
+    monkeypatch.setattr(cli, "scan_cone", lambda *args: _filled(ConeScanReport))
+    rows = {(timing, per_sigma): cli._report_rows([trial], timing, per_sigma)
+            for timing in (False, True) for per_sigma in (False, True)}
+    reached = _names(cli._lowerbound_group((None,) * 7)).union(*map(_names, rows.values()))
+    # per_sigma holds the SigmaDiagnostic reports, whose fields are checked
+    fields = {f"{report.__name__}.{f.name}" for report in (TrialReport, SigmaDiagnostic, ConeScanReport)
+              for f in dataclasses.fields(report)} - {"TrialReport.per_sigma"}
+    assert sorted(fields - reached) == []
+    assert "TrialReport.wall_ms" not in _names(rows[False, False])  # timings only under --timing
 
 
 def test_bench_trace_targets_resolve():

@@ -8,7 +8,7 @@ from halfspace_sgd.geometry import angle_between, unit_vector
 from halfspace_sgd.learner import zero_one_errors
 from halfspace_sgd.noise import NoisyExampleStream, clean_labels, far_flip, make_dataset
 from halfspace_sgd.optimizer import PsgdConfig, batch_grad_norms, psgd_lockstep
-from helpers import ArrayStream, loop_grad_norms
+from helpers import ArrayStream, loop_grad_norms, reference_psgd
 
 
 def _solo(stream, config):
@@ -69,15 +69,38 @@ def test_stream_exhaustion_raises():
 
 
 def test_lockstep_rows_match_solo_runs():
-    spec = dist.gaussian(3)
-    model = far_flip(unit_vector(3, 1), Z=2.0, theta2=0.2)
     seeds = (21, 22, 23)
     configs = [PsgdConfig(T=400, sigma=s) for s in (0.1, 0.25, 0.5)]
-    streams = [NoisyExampleStream(spec, model, seed) for seed in seeds]
-    out = psgd_lockstep(streams, configs, keep_every=1)
-    for i, (seed, c) in enumerate(zip(seeds, configs)):
-        solo = _solo(NoisyExampleStream(spec, model, seed), c)
-        np.testing.assert_array_equal(out.kept[i], solo)
+    for spec in (dist.gaussian(3), dist.log_concave(), dist.heavy_tailed(2.5)):
+        model = far_flip(unit_vector(spec.dim, 1), Z=2.0, theta2=0.2)
+        streams = [NoisyExampleStream(spec, model, seed) for seed in seeds]
+        out = psgd_lockstep(streams, configs, keep_every=1)
+        for i, (seed, c) in enumerate(zip(seeds, configs)):
+            solo = _solo(NoisyExampleStream(spec, model, seed), c)
+            np.testing.assert_array_equal(out.kept[i], solo)
+
+
+_WIDTHS = (0.32, 0.1, 0.032, 0.01, 0.0032, 0.001)
+
+
+@pytest.mark.parametrize("spec", [dist.gaussian(2), dist.gaussian(10), dist.log_concave(), dist.heavy_tailed(2.5)],
+                         ids=["gaussian2", "gaussian10", "logconcave", "heavy_tailed"])
+def test_fused_step_matches_gradient_reference(spec):
+    # the fused unit-sphere step against W - beta * surrogate_grad_rows and a
+    # rescale, over 2,500 steps (past the first 2,048-step chunk) at every
+    # width and at beta = 0
+    T = 2500
+    model = far_flip(unit_vector(spec.dim, 1), Z=dist.z_for_tail_mass(spec, 0.05), theta2=math.pi / 8)
+    configs = [PsgdConfig(T=T, sigma=s) for s in _WIDTHS] + [PsgdConfig(T=T, sigma=0.1, rho=0.0)]
+
+    def streams():
+        return [NoisyExampleStream(spec, model, seed=70 + i) for i in range(len(configs))]
+
+    kept = psgd_lockstep(streams(), configs, keep_every=1).kept
+    ref = reference_psgd(streams(), configs)
+    np.testing.assert_allclose(kept, ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(kept[-1], np.tile(unit_vector(spec.dim), (T, 1)))  # beta = 0 stays at e_1
+    assert not any(np.allclose(w, unit_vector(spec.dim)) for w in kept[:-1, -1])  # every other row moved
 
 
 def test_lockstep_strides_and_final():
@@ -147,14 +170,18 @@ def test_batch_grad_norms_match_per_iterate_loop():
 
 
 def test_heavy_tailed_steps_stay_on_sphere():
-    # points of norm ~1e8, some on the boundary of e_1 where the slope peaks
+    # points of norm ~1e8, some on the boundary of e_1 where the slope peaks;
+    # the fused step still matches the gradient reference there
     X = dist.sample(dist.heavy_tailed(2.5), 200, seed=21)
     X *= 1e8 / np.linalg.norm(X, axis=1)[:, None]
     X[::10, 0] = 0.0
     y = np.where(np.arange(200) % 3 == 0, -1.0, 1.0)
+    config = PsgdConfig(T=200, sigma=0.015)
     with np.errstate(over="raise", invalid="raise"):
-        W = _solo(ArrayStream(X, y), PsgdConfig(T=200, sigma=0.015))
+        W = _solo(ArrayStream(X, y), config)
+        ref = reference_psgd([ArrayStream(X, y)], [config])[0]
     assert np.all(np.isfinite(W))
+    np.testing.assert_allclose(W, ref, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(np.linalg.norm(W, axis=1), 1.0, rtol=0.0, atol=1e-12)
     assert not np.array_equal(W[-1], unit_vector(2, 1))
 
