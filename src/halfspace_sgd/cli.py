@@ -62,53 +62,65 @@ def _str_list(v: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in v.split(",") if p.strip())
 
 
-_COMMON = {
-    "s": (float, 3.0),
-    "out": (str, None),
-}
+# A row is key: (parser, default, check); check is None or (test, text), and
+# parse_config raises "<key> <text> (got <value>)" for a value that fails test.
+_NONEMPTY = (bool, "must be nonempty")
+
+
+def _at_least(lo: int) -> tuple:
+    return (lambda v: v >= lo, f"must be >= {lo}")
+
+
+def _opts_below(hi: float, text: str) -> tuple:
+    return (lambda v: bool(v) and all(0.0 < o < hi for o in v), f"must be nonempty, each value in (0, {text})")
+
+
+_COMMON = {"s": (float, 3.0, None)}  # DistributionSpec checks s, for heavy_tailed only
 
 _TRIALS = {
     **_COMMON,
-    "family": (str, "gaussian"),
-    "seeds": (int, 10),
-    "seed_base": (int, 1000),
+    "family": (str, "gaussian", None),
+    "seeds": (int, 10, _at_least(1)),
+    "seed_base": (int, 1000, _at_least(0)),
 }
 
 _SCHEMAS = {
     "learn": {
         **_TRIALS,
-        "d": (int, 2),
-        "opt_list": (_float_list, (0.005, 0.01, 0.02, 0.05)),
-        "epsilon": (float, 0.01),
-        "delta": (float, 0.01),
-        "t_cap": (int, 200_000),
-        "grid": (_float_list, LearnerConfig().grid),
-        "theta2": (float, math.pi / 8.0),
-        "holdout_size": (int, 0),  # 0: learner.default_holdout_size
-        "eval_size": (int, 200_000),
-        "rho": (float, 0.25),
-        "stride": (int, 400),
+        "d": (int, 2, None),
+        "opt_list": (_float_list, (0.005, 0.01, 0.02, 0.05), _opts_below(0.5, "1/2")),
+        "epsilon": (float, 0.01, None),
+        "delta": (float, 0.01, None),
+        "t_cap": (int, 200_000, None),
+        "grid": (_float_list, LearnerConfig().grid, None),
+        "theta2": (float, math.pi / 8.0, None),
+        "holdout_size": (int, 0, None),  # 0: learner.default_holdout_size
+        "eval_size": (int, 200_000, None),
+        "rho": (float, 0.25, None),
+        "stride": (int, 400, None),
     },
     "compare": {
         **_TRIALS,
-        "opt_list": (_float_list, (0.01, 0.001)),
-        "losses": (_str_list, ("logistic",)),
-        "t_cap": (int, 200_000),
-        "grid": (_float_list, (0.06, 0.03, 0.015)),
-        "holdout_k": (float, 2000.0),
-        "eval_size": (int, 200_000),
-        "rho": (float, 1.0),
-        "stride": (int, 250),
-        "conv_n": (int, 1_000_000),
-        "gtol": (float, 1e-6),
+        "opt_list": (_float_list, (0.01, 0.001), _opts_below(0.25, "1/4")),  # predicted_floor's range
+        "losses": (_str_list, ("logistic",), _NONEMPTY),
+        "t_cap": (int, 200_000, None),
+        "grid": (_float_list, (0.06, 0.03, 0.015), None),
+        "holdout_k": (float, 2000.0, (math.isfinite, "must be finite")),
+        "eval_size": (int, 200_000, None),
+        "rho": (float, 1.0, None),
+        "stride": (int, 250, None),
+        "conv_n": (int, 1_000_000, _at_least(1)),
+        "gtol": (float, 1e-6, (lambda v: 0.0 < v < math.inf, "must be finite and > 0")),
     },
     "lowerbound": {
         **_COMMON,
-        "families": (_str_list, ("gaussian", "logconcave", "heavy_tailed")),
-        "losses": (_str_list, ("logistic", "hinge")),
-        "opt": (float, 0.01),
-        "grid_points": (int, 101),
-        "tol": (float, 1e-9),
+        "families": (_str_list, ("gaussian", "logconcave", "heavy_tailed"), _NONEMPTY),
+        "losses": (_str_list, ORACLE_KINDS, (lambda v: bool(v) and set(v) <= set(ORACLE_KINDS),
+                                             f"must be nonempty and name only {' or '.join(ORACLE_KINDS)}")),
+        # opt = 1 puts the flip radius at 0
+        "opt": (float, 0.01, (lambda v: 0.0 < v < 1.0, "(the tail mass) must lie in (0, 1)")),
+        "grid_points": (int, 101, _at_least(1)),
+        "tol": (float, 1e-9, None),
     },
 }
 _SCHEMAS["sweep"] = dict(_SCHEMAS["learn"])
@@ -116,9 +128,10 @@ _SCHEMAS["sweep"] = dict(_SCHEMAS["learn"])
 
 def parse_config(path: str, command: str) -> dict:
     schema = _SCHEMAS[command]
-    cfg = {k: default for k, (_, default) in schema.items()}
+    cfg = {k: default for k, (_, default, _) in schema.items()}
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     seen = set()
@@ -140,6 +153,9 @@ def parse_config(path: str, command: str) -> dict:
             cfg[key] = parser(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for key {key!r}: {value!r} ({exc})") from exc
+    for key, (_, _, check) in schema.items():
+        if check and not check[0](cfg[key]):
+            raise ConfigError(f"{key} {check[1]} (got {cfg[key]!r})")
     return cfg
 
 
@@ -260,12 +276,6 @@ _COMPARE_HEADER = [
 
 
 def _compare_groups(cfg, seeds) -> list[tuple]:
-    if not 0.0 < cfg["gtol"] < math.inf:
-        raise ValueError("gtol must be finite and > 0")
-    if not cfg["losses"]:
-        raise ValueError("losses must be nonempty")
-    if not cfg["holdout_k"] < math.inf:  # inf and nan have no ceil
-        raise ValueError("holdout_k must be finite")
     spec = _make_spec(cfg["family"], 2, cfg["s"])
     losses = [convex_surrogate(kind) for kind in cfg["losses"]]
     w_star = unit_vector(2, 1)
@@ -324,14 +334,10 @@ _LOWERBOUND_HEADER = [
 
 
 def _lowerbound_groups(cfg) -> list[tuple]:
-    if not 0.0 < cfg["opt"] < 1.0:  # opt = 1 puts the flip radius at 0
-        raise ValueError("opt (the tail mass) must lie in (0, 1)")
     quad = QuadratureSpec(tol=cfg["tol"])
     groups = []
     for kind in cfg["losses"]:
         loss = convex_surrogate(kind)
-        if kind not in ORACLE_KINDS:
-            raise ValueError(f"the oracle implements the {' and '.join(ORACLE_KINDS)} losses, not {kind}")
         for family in cfg["families"]:
             spec = _make_spec(family, 2, cfg["s"])
             Z = dist.z_for_tail_mass(spec, cfg["opt"])
@@ -390,16 +396,11 @@ def _collect(outcomes, header_width: int):
 def _build_groups(command: str, cfg: dict, timing: bool):
     """(CSV header, run) for a command, with run(workers) -> one outcome per
     group for _collect (see _map_groups); every spec, noise model,
-    LearnerConfig and scan input is built here, so a bad value raises
-    ValueError before any group runs."""
+    LearnerConfig and scan input is built here, so a value that passes its
+    _SCHEMAS check but not a constructor's raises ValueError before any
+    group runs."""
     if command == "lowerbound":
-        if not cfg["families"] or not cfg["losses"]:
-            raise ValueError("families and losses must be nonempty")
         return _LOWERBOUND_HEADER, partial(_map_groups, _lowerbound_group, _lowerbound_groups(cfg))
-    if not cfg["opt_list"]:
-        raise ValueError("opt_list must be nonempty")
-    if any(not 0.0 < o < 0.5 for o in cfg["opt_list"]):
-        raise ValueError("opt_list values must lie in (0, 1/2)")
     seeds = [cfg["seed_base"] + j for j in range(cfg["seeds"])]
     if command == "compare":
         return _COMPARE_HEADER, partial(_map_groups, _compare_group, _compare_groups(cfg, seeds))
@@ -421,16 +422,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config, args.command)
-        out_path = args.out or cfg.get("out")
-        if not out_path:
-            raise ConfigError("no output path: pass --out or set 'out' in the config")
+        if not args.out:
+            raise ConfigError("no output path: pass --out")
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
-        for key in ("seeds", "conv_n", "grid_points"):
-            if key in cfg and cfg[key] < 1:
-                raise ConfigError(f"{key} must be >= 1")
-        if cfg.get("seed_base", 0) < 0:
-            raise ConfigError("seed_base must be >= 0")
         try:
             header, run = _build_groups(args.command, cfg, args.timing)
         except ValueError as exc:
@@ -445,11 +440,11 @@ def main(argv=None) -> int:
         failed = failed or any(not bool(row[-1]) or row[0] == "FAILED" for row in rows)
 
     try:
-        _write_csv(out_path, args.command, header, rows)
+        _write_csv(args.out, args.command, header, rows)
     except OSError as exc:
-        print(f"halfspace-bench: cannot write {out_path}: {exc}", file=sys.stderr)
+        print(f"halfspace-bench: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
-    print(f"[halfspace-bench] {args.command}: wrote {len(rows)} rows to {out_path}")
+    print(f"[halfspace-bench] {args.command}: wrote {len(rows)} rows to {args.out}")
     return 1 if failed else 0
 
 

@@ -18,9 +18,9 @@ Closed forms (2D, written with c = 2*sqrt(3), tail(Z) = Pr[||x|| >= Z]):
                 E[1{||x||>=Z} ||x||] = Z exp(-Z^2/2) + sqrt(pi/2) erfc(Z/sqrt2)
     logconcave  tail(Z) = (1 + c Z) exp(-c Z)
                 E[1{||x||>=Z} ||x||] = exp(-c Z) (6 Z^2 + 2 sqrt3 Z + 1)/sqrt3
-    heavy       tail(Z) = a^s (a + (1+s) Z) / (a + Z)^(1+s)
+    heavy       tail(Z) = (1 + (1+s) u) v^-(1+s),  u = Z/a, v = 1 + u
                 E[1{||x||>=Z} ||x||] =
-                    a^s (2 a^2 + 2 a (s+1) Z + s (s+1) Z^2) / ((s-1)(a+Z)^(1+s))
+                    a (2 + 2 (s+1) u + s (s+1) u^2) v^-(1+s) / (s-1)
 
 Every closed form is cross-checked against adaptive quadrature of the density
 in the test suite. Non-Gaussian samplers draw a uniform angle and an exact
@@ -77,8 +77,9 @@ class DistributionSpec:
         if self.family != "gaussian" and self.dim != 2:
             raise ValueError(f"the {self.family} family is defined only for d = 2")
         if self.family == "heavy_tailed":
-            if self.s is None or not self.s > 2.0:
+            if self.s is None:
                 raise ValueError("heavy_tailed requires s > 2 (second moment diverges otherwise)")
+            solve_isotropic_params(self.s)  # refuses s <= 2 and an s whose (a_s, b_s) overflow
 
 
 def gaussian(dim: int = 2) -> DistributionSpec:
@@ -98,13 +99,17 @@ def solve_isotropic_params(s: float) -> tuple[float, float]:
     identity-covariance 2D distribution.
 
     Normalization gives b_s = s(1+s)/(2 pi a_s^2), and E||x||^2 =
-    6 a_s^2 / ((s-2)(s-1)) = 2 gives a_s = sqrt((s-2)(s-1)/3).
+    6 a_s^2 / ((s-2)(s-1)) = 2 gives a_s = sqrt((s-2)(s-1)/3). An s whose
+    (a_s, b_s) are not finite floats (inf, 1e300) is refused.
     """
     s = float(s)
     if not s > 2.0:
         raise ValueError("heavy_tailed requires s > 2 (second moment diverges otherwise)")
     a = math.sqrt((s - 2.0) * (s - 1.0) / 3.0)
-    return a, s * (1.0 + s) / (2.0 * math.pi * a * a)
+    b = s * (1.0 + s) / (2.0 * math.pi * a * a)
+    if not math.isfinite(a) or not math.isfinite(b):
+        raise ValueError(f"heavy_tailed s = {s!r} gives non-finite (a_s, b_s) = ({a!r}, {b!r})")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +173,8 @@ def radial_tail_mass(spec: DistributionSpec, Z):
     elif spec.family == "logconcave":
         out = (1.0 + _C_LC * Z) * np.exp(-_C_LC * Z)
     else:
-        a, s = solve_isotropic_params(spec.s)[0], spec.s
-        out = a**s * (a + (1.0 + s) * Z) / (a + Z) ** (1.0 + s)
+        s, u = spec.s, Z / solve_isotropic_params(spec.s)[0]
+        out = (1.0 + (1.0 + s) * u) * (1.0 + u) ** (-1.0 - s)
     return float(out) if out.ndim == 0 else out
 
 
@@ -184,11 +189,8 @@ def truncated_first_moment(spec: DistributionSpec, Z):
         out = np.exp(-_C_LC * Z) * (6.0 * Z * Z + 2.0 * math.sqrt(3.0) * Z + 1.0) / math.sqrt(3.0)
     else:
         a, s = solve_isotropic_params(spec.s)[0], spec.s
-        out = (
-            a**s
-            * (2.0 * a * a + 2.0 * a * (s + 1.0) * Z + s * (s + 1.0) * Z * Z)
-            / ((s - 1.0) * (a + Z) ** (1.0 + s))
-        )
+        u = Z / a
+        out = a * (2.0 + 2.0 * (s + 1.0) * u + s * (s + 1.0) * u * u) * (1.0 + u) ** (-1.0 - s) / (s - 1.0)
     return float(out) if out.ndim == 0 else out
 
 

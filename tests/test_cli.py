@@ -1,7 +1,9 @@
 import csv
 import os
+import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -141,12 +143,18 @@ def test_malformed_line_exits_2(tmp_path):
     ("learn", _with(TINY_LEARN, "holdout_size = 1000000000000000000"), [], "holdout_size = 1000000000000000000"),
     ("lowerbound", TINY_LOWERBOUND.replace("losses = logistic", "losses = squared_hinge"), [], "squared_hinge"),
     ("lowerbound", TINY_LOWERBOUND + "grid_points = 5\n", [], "'grid_points' is set twice"),
+    ("learn", _with(TINY_LEARN, "seeds = 0"), [], "seeds must be >= 1"),
+    ("lowerbound", _with(TINY_LOWERBOUND, "families ="), [], "families must be nonempty"),
+    ("compare", _with(TINY_COMPARE, "opt_list = 0.3"), [], "opt_list"),
+    ("compare", _with(TINY_COMPARE, "family = heavy_tailed", "s = inf"), [], "s = inf"),
+    ("lowerbound", _with(TINY_LOWERBOUND, "families = heavy_tailed", "s = 1e300"), [], "s = 1e+300"),
 ], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2",
         "squared-hinge-heavy", "d-1", "stride-0", "t_cap-0", "eval_size-0", "holdout_size-neg",
         "grid-neg", "theta2-1", "epsilon-2", "rho-neg", "rho-0", "conv_n-0", "holdout_k-0",
         "grid_points-0", "opt-0", "tol-0", "tol-nan", "gtol-neg", "gtol-nan", "rho-inf", "grid-inf",
         "opt-1", "epsilon-tiny-default-holdout", "seed_base-neg", "compare-no-losses", "holdout_k-inf",
-        "epsilon-1e-100-default-holdout", "holdout_size-1e18", "squared-hinge-gaussian", "repeated-key"])
+        "epsilon-1e-100-default-holdout", "holdout_size-1e18", "squared-hinge-gaussian", "repeated-key",
+        "seeds-0", "lowerbound-no-families", "compare-opt-0.3", "s-inf", "s-1e300"])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flags, needle):
     out = tmp_path / "o.csv"
     cfg = _write(tmp_path / "c.txt", text)
@@ -256,6 +264,14 @@ def test_parse_config_defaults_and_lists(tmp_path):
     assert cfg["family"] == "gaussian"
 
 
+def test_parse_config_closes_its_file(tmp_path):
+    cfg_path = _write(tmp_path / "c.txt", "seeds = 3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        parse_config(cfg_path, "learn")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_learn_rows_and_determinism(tmp_path):
     cfg = _write(tmp_path / "c.txt", TINY_LEARN)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -352,3 +368,20 @@ def test_lowerbound_quadrature_failure_marks_and_exits_1(tmp_path):
     assert main(["lowerbound", "--config", cfg, "--out", str(out)]) == 1
     rows = _rows(out)
     assert rows[1][0] == "FAILED"
+
+
+def test_readme_key_tables_match_schemas():
+    # one "#### `cmd` ..." table per subcommand under "### Config keys": key, default, accepts
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config keys", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for block in section.split("\n#### ")[1:]:
+        heading, _, body = block.partition("\n")
+        rows = [line.split("|")[1:3] for line in body.splitlines() if line.startswith("| `")]
+        for command in re.findall(r"`(\w+)`", heading):
+            tables[command] = {key.strip().strip("`"): default.split("`")[1] for key, default in rows}
+    assert sorted(tables) == sorted(cli._SCHEMAS)
+    for command, schema in cli._SCHEMAS.items():
+        assert sorted(tables[command]) == sorted(schema), command
+        for key, (parser, default, _) in schema.items():
+            assert parser(tables[command][key]) == default, (command, key)

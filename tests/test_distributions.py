@@ -47,6 +47,9 @@ def test_solve_isotropic_params_rejects_s_at_most_2():
         dist.heavy_tailed(1.5)
     with pytest.raises(ValueError):
         dist.heavy_tailed(float("nan"))
+    for s in (float("inf"), 1e300):  # (a_s, b_s) not finite
+        with pytest.raises(ValueError, match="non-finite"):
+            dist.heavy_tailed(s)
 
 
 def test_density_values_at_origin():
@@ -86,9 +89,13 @@ def test_gaussian_2d_tail_mass_inverts_cleanly():
     assert dist.radial_tail_mass(dist.gaussian(2), Z) == pytest.approx(0.01, abs=1e-14)
 
 
-@pytest.mark.parametrize("family_idx", [0, 1, 2])
+# s = 200: a_s**s overflows, so the heavy-tailed closed forms are written in Z/a_s
+TAIL_SPECS = lambda: ALL_2D() + (dist.heavy_tailed(200.0),)
+
+
+@pytest.mark.parametrize("family_idx", [0, 1, 2, 3])
 def test_tail_mass_matches_quadrature(family_idx):
-    spec = ALL_2D()[family_idx]
+    spec = TAIL_SPECS()[family_idx]
     for Z in np.linspace(0.0, 6.0, 7):
         assert dist.radial_tail_mass(spec, Z) == pytest.approx(quad_tail_mass(spec, Z), abs=1e-8)
 
@@ -110,9 +117,9 @@ def test_truncated_first_moment_reference_and_monotone():
         assert vals[-1] < 0.02 * vals[0]
 
 
-@pytest.mark.parametrize("family_idx", [0, 1, 2])
+@pytest.mark.parametrize("family_idx", [0, 1, 2, 3])
 def test_truncated_moments_match_quadrature(family_idx):
-    spec = ALL_2D()[family_idx]
+    spec = TAIL_SPECS()[family_idx]
     for Z in (0.0, 0.8, 3.0):
         f1 = lambda r: 2.0 * math.pi * r * r * dist.radial_density(spec, r)
         f2 = lambda r: 2.0 * math.pi * r**3 * dist.radial_density(spec, r)
