@@ -48,8 +48,9 @@ __all__ = [
 
 DEFAULT_GRID = (0.32, 0.16, 0.08, 0.04, 0.02)
 _GRAD_DIAG_BATCH = 2_000  # holdout examples behind each per-width gradient-norm diagnostic
-_SCORE_ROWS = 2_048       # examples per drawn and scored block; holds the diagnostic batch
-_SCORE_COLS = 256         # candidates per scoring block: a block's scores take 4 MB
+_SCORE_ROWS = 2_048       # examples per drawn block; holds the diagnostic batch
+_SCORE_COLS = 256         # candidates per scored slice
+_SCORE_PAIRS = 131_072    # scores per scored slice: 1 MiB of float64, 512 rows at 256 candidates
 
 
 def derive_seed(master: int, *key: int) -> int:
@@ -110,14 +111,21 @@ def zero_one_errors(W: np.ndarray, dataset) -> np.ndarray:
 
 
 def _zero_one_errors_blocked(W: np.ndarray, dataset) -> np.ndarray:
-    """Any dimension: count sign(<w, x>) != y (a zero score predicts +1), one
-    block of at most _SCORE_ROWS examples x _SCORE_COLS candidates at a time."""
+    """Any dimension: count sign(<w, x>) != y (a zero score predicts +1), in
+    slices of at most _SCORE_PAIRS scores: _SCORE_COLS candidates (fewer if
+    W has fewer rows) by as many examples as fit, up to _SCORE_ROWS. A slice
+    has at most _SCORE_ROWS <= 65,535 rows, so its per-candidate counts fit
+    the uint16 sum."""
+    cols = max(1, min(_SCORE_COLS, W.shape[0]))
+    rows = min(_SCORE_ROWS, _SCORE_PAIRS // cols)
     wrong = np.zeros(W.shape[0], dtype=np.int64)
-    for lo in range(0, len(dataset), _SCORE_ROWS):
-        X = dataset.x[lo : lo + _SCORE_ROWS]
-        pos = (dataset.y[lo : lo + _SCORE_ROWS] > 0.0)[:, None]
-        for c in range(0, W.shape[0], _SCORE_COLS):
-            wrong[c : c + _SCORE_COLS] += np.count_nonzero((X @ W[c : c + _SCORE_COLS].T >= 0.0) != pos, axis=0)
+    for lo in range(0, len(dataset), rows):
+        X = dataset.x[lo : lo + rows]
+        pos = (dataset.y[lo : lo + rows] > 0.0)[:, None]
+        for c in range(0, W.shape[0], cols):
+            miss = X @ W[c : c + cols].T >= 0.0
+            np.not_equal(miss, pos, out=miss)
+            wrong[c : c + cols] += miss.view(np.uint8).sum(axis=0, dtype=np.uint16)
     return wrong
 
 

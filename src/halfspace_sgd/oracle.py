@@ -196,9 +196,11 @@ def _tensor_level(spec, tol, rows, k):
     The integrand factors as a_r S_rp b_p: the radial weight
     a = r^2 gamma(r) w_r, the angular weight b = -y sin(phi) w_phi and the
     logistic slope S = (1 + tanh(t/2))/2 at t = -y rho r sin(phi). Only S is
-    materialized, in blocks of at most _BLOCK_NODES nodes, and is reduced by
-    one matmul against (b, |b|). The value is a^T S b; as S > 0 and a >= 0,
-    the roundoff sum is a^T S |b|.
+    materialized, in blocks of at most _BLOCK_NODES nodes: t/2 is one einsum
+    outer product per block ("ri,rj->rij", one pass; each node is the same
+    single product a broadcast multiply gives), and S is reduced by one
+    matmul against (b, |b|). The value is a^T S b; as S > 0 and a >= 0, the
+    roundoff sum is a^T S |b|.
     """
     pr, pa = _RADIAL_PANELS << k, _ANGULAR_PANELS << k
     nr, npts = GL_ORDER * pr, GL_ORDER * pa
@@ -216,7 +218,7 @@ def _tensor_level(spec, tol, rows, k):
     span = nr if nr * npts <= _BLOCK_NODES else max(1, _BLOCK_NODES // npts)
     for blk in _row_blocks(rows.shape[0], nr * npts):
         for j in range(0, nr, span):
-            S = np.multiply(half_t[blk, j:j + span, None], s[blk, None, :])
+            S = np.einsum("ri,rj->rij", half_t[blk, j:j + span], s[blk])
             np.tanh(S, out=S)
             S += 1.0
             u[blk, :, j:j + span] = ab[blk] @ S.transpose(0, 2, 1)

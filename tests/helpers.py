@@ -50,6 +50,26 @@ def integrate_refining(
     return float(values[0]), float(errors[0])
 
 
+def gauss_chi_tail_math_erfc(d: int, z):
+    """Pr[chi_d >= z] by distributions._gauss_chi_tail's half-integer
+    recursion, with math.erfc called once per element for odd d: the
+    oracle for the package's array erfc."""
+    z = np.asarray(z, dtype=float)
+    x = z * z / 2.0
+    if d % 2 == 0:
+        q = np.exp(-x)
+        a = 1.0
+    else:
+        q = np.array([math.erfc(math.sqrt(v)) for v in x.ravel()]).reshape(x.shape)
+        a = 0.5
+    logx = np.log(np.maximum(x, 1e-300))
+    while a < d / 2.0 - 1e-9:
+        term = np.where(x > 0, np.exp(a * logx - x - math.lgamma(a + 1.0)), 0.0)
+        q = q + term
+        a += 1.0
+    return np.minimum(q, 1.0)
+
+
 def halfspace_label(w, x) -> int:
     """sign(<w, x>) with sign(0) = +1."""
     w = np.asarray(w, dtype=float)

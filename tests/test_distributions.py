@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
-from helpers import integrate_refining, radial_cdf, search_well_behaved_params
+from helpers import gauss_chi_tail_math_erfc, integrate_refining, radial_cdf, search_well_behaved_params
 
 ALL_2D = lambda: (dist.gaussian(2), dist.log_concave(), dist.heavy_tailed(3.0))
 
@@ -157,6 +157,39 @@ def test_gaussian_general_dimension_tail_and_moment():
     assert dist.mean_norm(spec) == pytest.approx(float(np.mean(norms)), abs=4 * float(np.std(norms)) / math.sqrt(2e6))
     Z = float(np.quantile(norms, 0.98))
     assert dist.radial_tail_mass(spec, Z) == pytest.approx(0.02, abs=4 * math.sqrt(0.02 * 0.98 / 2e6))
+
+
+ERFC_ULPS = 9  # largest gap of _erfc to math.erfc over 2e6 points of [0, 27]; this test's points reach 6
+
+
+def _ulps(got, ref):
+    return np.abs(got - ref) / np.spacing(ref)
+
+
+def test_erfc_within_a_few_ulps_of_math_erfc():
+    x = np.concatenate([np.linspace(0.0, 27.0, 100_001), np.random.default_rng(0).uniform(0.0, 27.0, 100_000),
+                        [0.0, 5.66, 26.5, math.inf]])
+    ref = np.array([math.erfc(v) for v in x])
+    assert float(np.max(_ulps(dist._erfc(x), ref))) <= ERFC_ULPS
+    # every range of the rational forms, in one n-d array
+    np.testing.assert_array_equal(dist._erfc(x[:200_000].reshape(400, 500)), dist._erfc(x[:200_000]).reshape(400, 500))
+
+
+def test_erfc_takes_0d_and_empty_input():
+    for v in (0.0, 0.3, 2.0, 5.66, 26.5):
+        out = dist._erfc(v)
+        assert out.shape == () and float(_ulps(out, math.erfc(v))) <= ERFC_ULPS
+    assert float(dist._erfc(math.inf)) == 0.0 and math.isnan(float(dist._erfc(math.nan)))
+    assert dist._erfc(np.array([])).shape == (0,)
+    assert dist._erfc(np.zeros((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("d", [3, 5, 11])
+def test_odd_gaussian_tail_matches_math_erfc_form(d):
+    z = np.concatenate([np.linspace(0.0, 12.0, 20_001), [8.0, 38.0]])
+    ref = gauss_chi_tail_math_erfc(d, z)
+    assert float(np.max(_ulps(dist._gauss_chi_tail(d, z), ref))) <= ERFC_ULPS
+    assert float(_ulps(dist._gauss_chi_tail(d, 2.5), gauss_chi_tail_math_erfc(d, 2.5))) <= ERFC_ULPS
 
 
 def test_z_for_tail_mass_roundtrip():

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd import learner
-from halfspace_sgd.geometry import unit_vector
+from halfspace_sgd.geometry import halfspace_labels, unit_vector
 from halfspace_sgd.learner import (
     LearnerConfig,
     _trial_report,
     _zero_one_errors_2d,
+    _zero_one_errors_blocked,
     default_holdout_size,
     derive_seed,
     learn,
@@ -94,6 +95,21 @@ def test_zero_one_errors_matches_scalar_loop():
     errs = zero_one_errors(W, ds) / len(ds)
     for i in range(600):
         assert errs[i] == estimate_err01(W[i], ds)
+
+
+@pytest.mark.parametrize("n", [1, 511, 513, 2047, 2048, 4097])
+@pytest.mark.parametrize("k", [1, 255, 256, 257])
+def test_blocked_count_equals_brute_force(n, k):
+    # row and candidate counts on both sides of the scored slices' edges
+    rng = np.random.default_rng(n * 1000 + k)
+    X = rng.standard_normal((n, 3))
+    X[::5] = 0.0  # a zero score predicts +1
+    W = rng.standard_normal((k, 3))
+    y = -halfspace_labels(W[0], X)  # candidate 0 errs on every example: > 255 in one slice once n > 255
+    ds = LabeledDataset(X, y, np.zeros(n, dtype=bool))
+    brute = [int(np.count_nonzero(halfspace_labels(w, X) != y)) for w in W]
+    assert brute[0] == n
+    assert _zero_one_errors_blocked(W, ds).tolist() == brute
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
