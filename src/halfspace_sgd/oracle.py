@@ -19,6 +19,13 @@ split at every kink locus before quadrature, so the panel-doubling error
 estimates are honest; quadrature.refine_by_doubling floors every one of
 them at double-precision roundoff.
 
+Symmetry: the far-flip set is odd under x -> -x (see noise) and the density
+is radial, so y(-x) = -y(x) and the integrand -y x l'(-y <x, w>) is even in
+x. The label-change angles come in antipodal pairs, so only the sectors of
+the half-plane [brk[0], brk[0] + pi] are integrated; the sums over S and S^c
+and their error estimates are doubled, and the tol/10 truncation budget is
+added once.
+
 Batching: every sector x annulus x kink-split piece of every point of a scan
 is one row of one of two rules (the radial first coordinate; the angular or
 tensor second coordinate), and one refine_by_doubling call drives them all.
@@ -263,11 +270,12 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
     """Population gradients at the points ws: (grads, errors, S parts, Sc
     parts), one row per point, in the original coordinates.
 
-    Every sector x annulus x kink-split piece of every point is integrated
-    in one refine_by_doubling call. A piece's arithmetic depends on that
-    piece alone and each point sums its pieces in a fixed order, so a point's
-    row does not depend on the other points, bitwise. The truncation radius
-    is found once per call. ValueError for a loss not in ORACLE_KINDS.
+    Every sector x annulus x kink-split piece of every point's half-plane
+    is integrated in one refine_by_doubling call. A piece's arithmetic
+    depends on that piece alone and each point sums its pieces in a fixed
+    order, so a point's row does not depend on the other points, bitwise.
+    The truncation radius is found once per call. ValueError for a loss not
+    in ORACLE_KINDS, or for break angles that are not antipodal pairs.
     """
     if loss.kind not in ORACLE_KINDS:
         raise ValueError(f"the oracle implements the {' and '.join(ORACLE_KINDS)} losses, not {loss.kind}")
@@ -281,8 +289,11 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
         frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
         shifts.append(frame_shift)
         brk = _sector_break_angles(model, frame_shift).tolist()
-        pieces = [(p1, p2, ra, rb, 2 * i + j) for p1, p2 in zip(brk, brk[1:] + [brk[0] + 2.0 * math.pi])
-                  for j, (ra, rb) in enumerate(annuli)]
+        half = len(brk) // 2
+        if len(brk) % 2 or np.any(np.abs(np.subtract(brk[half:], brk[:half]) - math.pi) > 1e-12):
+            raise ValueError("the label-change angles are not antipodally symmetric")
+        pieces = [(p1, p2, ra, rb, 2 * i + j) for p1, p2 in zip(brk[:half], brk[1:half + 1])
+                  for j, (ra, rb) in enumerate(annuli)]  # the half-plane [brk[0], brk[0] + pi]
         # the observed label is constant on each sector x annulus piece: label its midpoint
         phi = np.array([0.5 * (p1 + p2) for p1, p2, *_ in pieces]) + frame_shift
         r = np.array([0.5 * (ra + rb) for _, _, ra, rb, _ in pieces])
@@ -319,7 +330,7 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
     errors = np.zeros(n)
     np.add.at(errors, np.array(radial_at) // 2, e1)
     np.add.at(errors, np.array(second_at) // 2, e2)
-    errors += quad.tol / 10.0  # truncation budget beyond r_max
+    parts, errors = 2.0 * parts, 2.0 * errors + quad.tol / 10.0  # both half-planes; truncation beyond r_max
 
     # rotate back from each point's w-frame
     cos, sin = np.repeat(np.cos(shifts), 2), np.repeat(np.sin(shifts), 2)

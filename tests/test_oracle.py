@@ -339,24 +339,30 @@ def test_scan_cone_matches_per_point_gradients(loss):
 @pytest.mark.parametrize("family", ["gaussian", "logconcave", "heavy_tailed"])
 @pytest.mark.parametrize("kind", oracle.ORACLE_KINDS)
 def test_batched_gradient_matches_per_piece_reference(kind, family):
-    # the batched oracle against one integration per piece, at three angles
+    # the batched half-plane oracle against one integration per piece over
+    # the whole plane, at three angles and at norms across the range a scan
+    # over rho would cover
     spec = {"gaussian": dist.gaussian(2), "logconcave": dist.log_concave(),
             "heavy_tailed": dist.heavy_tailed(3.0)}[family]
     loss = convex_surrogate(kind)
     model, Z, theta = _standard_model(spec)
     quad = QuadratureSpec()
-    for ang in (-theta, 0.4 * theta, 1.7):
-        w = rotate2d(E2, ang) * 1.3
-        g, err, _ = convex_population_grad(loss, w, spec, model, quad)
-        g_ref, err_ref = reference_population_grad(loss, w, spec, model, quad)
-        assert float(np.linalg.norm(g - g_ref)) <= err + err_ref
+    for rho in (0.05, 1.3, 20.0):
+        for ang in (-theta, 0.4 * theta, 1.7):
+            w = rotate2d(E2, ang) * rho
+            g, err, _ = convex_population_grad(loss, w, spec, model, quad)
+            g_ref, err_ref = reference_population_grad(loss, w, spec, model, quad)
+            assert float(np.linalg.norm(g - g_ref)) <= err + err_ref
+            assert err == pytest.approx(err_ref, rel=1e-5)  # the doubled half-plane errors are the whole plane's
 
 
 def test_scan_cone_under_a_counting_driver(monkeypatch):
     # a tracer wraps refine_by_doubling with a one-argument estimate(k) and
     # sums out[2] into an int; the scan must report the same under it, and
     # spend the nodes of one integral at a time (no converged integral is
-    # evaluated again); on heavy tails its integrals stop at different levels
+    # evaluated again); on heavy tails its integrals stop at different levels.
+    # The scan integrates one half-plane and the reference the whole plane,
+    # whose antipodal pieces converge at the same levels: exactly twice the nodes
     spec = dist.heavy_tailed(3.0)
     model, Z, theta = _standard_model(spec)
     plain = scan_cone(LOGISTIC, spec, Z, theta, grid_points=3)
@@ -385,4 +391,31 @@ def test_scan_cone_under_a_counting_driver(monkeypatch):
     monkeypatch.setattr(helpers, "refine_by_doubling", counted)
     for ang in np.linspace(-theta, theta, 3):
         reference_population_grad(LOGISTIC, rotate2d(E2, float(ang)), spec, model, QuadratureSpec())
-    assert counts["nodes"] == scan_nodes
+    assert counts["nodes"] == 2 * scan_nodes
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(w_angle=st.floats(-math.pi, math.pi),
+       star_angle=st.floats(-math.pi, math.pi),
+       theta2=st.floats(0.0, math.pi / 4.0, exclude_min=True))
+def test_break_angles_are_antipodal_pairs(w_angle, star_angle, theta2):
+    # the half-plane rule's premise, checked as _gradients checks it
+    model = far_flip(rotate2d(E2, star_angle), Z=2.0, theta2=theta2)
+    w = rotate2d(E2, w_angle)
+    frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
+    brk = oracle._sector_break_angles(model, frame_shift)
+    assert brk.size == 4
+    assert np.all(np.abs(brk[2:] - brk[:2] - math.pi) <= 1e-12)
+
+
+def test_asymmetric_break_angles_raise(monkeypatch):
+    spec = dist.gaussian(2)
+    model, _, _ = _standard_model(spec)
+    monkeypatch.setattr(oracle, "_sector_break_angles",
+                        lambda model, frame_shift: np.array([0.1, 1.0, 0.1 + math.pi, 1.0 + math.pi + 1e-9]))
+    with pytest.raises(ValueError, match="antipodally symmetric"):
+        convex_population_grad(LOGISTIC, E2, spec, model)
+    monkeypatch.setattr(oracle, "_sector_break_angles",
+                        lambda model, frame_shift: np.array([0.1, 1.0, 0.1 + math.pi]))
+    with pytest.raises(ValueError, match="antipodally symmetric"):
+        convex_population_grad(LOGISTIC, E2, spec, model)
