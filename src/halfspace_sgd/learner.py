@@ -10,13 +10,19 @@ noisy holdout by zero-one error, all of a trial's lists at once, and the
 overall argmin wins, ties broken by grid order then iterate order. The
 reported error comes from a disjoint evaluation set.
 
+The points of a trial depend on its seed alone: the noise models of one
+learn_batch call share w*, the tilt and the marginal, and differ only in
+their labels. So each seed's training streams, holdout and evaluation set
+are drawn once and labeled by corrupt_labels under every model; one report
+job per seed scores every model's trial on the same blocks.
+
 Neither the holdout nor the evaluation set is held whole. For the Gaussian,
 each is drawn _SCORE_ROWS examples at a time from one SampleStream (those
-blocks concatenate bitwise to one sample() draw), labeled by corrupt_labels,
-scored and dropped; integer error counts add up over the blocks, so every
-rate equals the one the whole set gives. The first holdout block also feeds
-the per-width gradient-norm diagnostic. The 2D radial families draw all n
-points at once, so their sets come as one block.
+blocks concatenate bitwise to one sample() draw), labeled, scored and
+dropped; integer error counts add up over the blocks, so every rate equals
+the one the whole set gives. The first holdout block also feeds the
+per-width gradient-norm diagnostic. The 2D radial families draw all n points
+at once, so their sets come as one block.
 
 Experiments run on a desk-scale grid and a capped step count; whether the
 target gradient norm was reached is recorded per width (reached_rho).
@@ -32,7 +38,7 @@ import numpy as np
 
 from . import distributions as dist
 from .geometry import angle_between
-from .noise import LabeledDataset, NoiseModel, NoisyExampleStream, corrupt_labels, make_dataset
+from .noise import LabeledDataset, NoiseModel, NoisyExampleStream, corrupt_labels
 from .optimizer import PsgdConfig, batch_grad_norms, psgd_lockstep
 
 __all__ = [
@@ -185,101 +191,159 @@ def learn(spec, model: NoiseModel, config: LearnerConfig, seed: int,
 
 def learn_batch(spec, groups, config: LearnerConfig, seeds, map_groups=map) -> list:
     """learn() for every (noise model, opt_target) pair in `groups` and every
-    seed, with all (group, seed, sigma) runs advanced in one lockstep batch
-    (each stream carries its own noise model); row-local arithmetic makes each
-    report identical to its solo learn() (wall_ms aside).
+    seed, each report identical to its solo learn() (wall_ms aside).
 
-    The report phase (holdout scoring, selection, evaluation) runs per group
-    as map_groups(fn, jobs), the builtin map by default; the CLI passes one
-    that spreads the groups over threads and puts a failing group's
-    exception in its place. Returns one entry per group: its list of
-    TrialReports, one per seed.
+    The groups of one seed differ only in their labels, so every point is
+    drawn once per seed and labeled under each group's model. PSGD: one
+    stream per (seed, sigma) serves one lockstep row per group, and all the
+    rows advance in one batch; row-local arithmetic keeps each row equal to
+    its solo run. Reports: one job per seed (_seed_reports) draws the holdout,
+    then the evaluation set, block by block and scores every group on each
+    block. The jobs run as map_groups(fn, jobs), the builtin map by default;
+    the CLI passes one that spreads them over threads and puts a failing
+    job's exception in its place.
 
-    wall_ms is per trial: an equal share of the batch's lockstep time plus
-    the time of the trial's own selection and evaluation.
+    Returns one entry per group: its list of TrialReports, one per seed. A
+    failure in PSGD or in a seed's shared draws fails every group; one in a
+    group's own steps fails that group alone. Each group's outcome passes
+    through map_groups as well, so the builtin map raises its failure and
+    the CLI's puts it in the group's place.
+
+    wall_ms is per trial: an equal share of the batch's lockstep time plus an
+    equal share of its seed job's time.
     """
     t0 = time.perf_counter()
     groups, seeds = list(groups), list(seeds)
     g, trials = len(config.grid), len(groups) * len(seeds)
-    streams = [NoisyExampleStream(spec, model, derive_seed(seed, 1, i))
-               for model, _ in groups for seed in seeds for i in range(g)]
-    configs = [PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho) for s in config.grid] * trials
-    out = psgd_lockstep(streams, configs, keep_every=config.candidate_stride)
+    models = [model for model, _ in groups]
+    streams = [NoisyExampleStream(spec, models, derive_seed(seed, 1, i)) for seed in seeds for i in range(g)]
+    configs = [PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho) for s in config.grid for _ in groups]
+    out = psgd_lockstep(streams, configs * len(seeds), keep_every=config.candidate_stride)
     shared_s = (time.perf_counter() - t0) / trials
-    kept = out.kept.reshape(len(groups), len(seeds), g, *out.kept.shape[1:])
-    jobs = [(spec, model, config, seeds, opt, kept[j], shared_s) for j, (model, opt) in enumerate(groups)]
-    return list(map_groups(_group_reports, jobs))
+    kept = out.kept.reshape(len(seeds), g, len(groups), *out.kept.shape[1:]).swapaxes(1, 2)
+    jobs = [(spec, groups, config, seed, kept[si], shared_s) for si, seed in enumerate(seeds)]
+    per_seed = list(map_groups(_seed_reports, jobs))
+    outcomes = [[r if isinstance(r, Exception) else r[j] for r in per_seed] for j in range(len(groups))]
+    return list(map_groups(_raise_failure, outcomes))
 
 
-def _group_reports(job) -> list[TrialReport]:
-    spec, model, config, seeds, opt_target, kept, shared_s = job
-    return [_trial_report(spec, model, config, seed, opt_target, kept[si], shared_s)
-            for si, seed in enumerate(seeds)]
+def _raise_failure(reports: list) -> list:
+    """A group's reports, one per seed; raises the first failure among them."""
+    for r in reports:
+        if isinstance(r, Exception):
+            raise r
+    return reports
 
 
-def _labeled_blocks(spec, model: NoiseModel, n: int, seed: int):
-    """make_dataset(spec, model, n, seed) as consecutive LabeledDatasets of at
-    most _SCORE_ROWS examples; one block for the 2D radial families."""
-    if spec.family != "gaussian":
-        yield make_dataset(spec, model, n, seed)
-        return
+def _point_blocks(spec, n: int, seed: int):
+    """sample(spec, n, seed) as consecutive blocks of at most _SCORE_ROWS
+    points; one block for the 2D radial families, whose takes do not
+    concatenate to one draw."""
     points = dist.SampleStream(spec, seed)
-    for lo in range(0, n, _SCORE_ROWS):
-        X = points.take(min(_SCORE_ROWS, n - lo))
-        yield LabeledDataset(X, *corrupt_labels(model, X))
+    rows = _SCORE_ROWS if spec.family == "gaussian" else n
+    for lo in range(0, n, rows):
+        yield points.take(min(rows, n - lo))
 
 
-def _trial_report(spec, model: NoiseModel, config: LearnerConfig, seed: int,
-                  opt_target: float, kept: np.ndarray, shared_s: float) -> TrialReport:
-    """kept is (grid widths, iterates, d): each width's strided iterate list."""
+def _seed_reports(job) -> list:
+    """The report phase of one seed for every group. job is (spec, groups,
+    config, seed, kept, shared_s), kept being (groups, grid widths, iterates,
+    d). Returns one entry per group: its TrialReport, or the exception one of
+    its _Trial steps raised; a group that failed takes no further steps."""
+    spec, groups, config, seed, kept, shared_s = job
     t0 = time.perf_counter()
     n_hold = config.holdout_size
     if n_hold is None:
         n_hold = default_holdout_size(spec.dim, config.epsilon, config.delta)
-    W = kept.reshape(-1, spec.dim)
-    blocks = _labeled_blocks(spec, model, n_hold, derive_seed(seed, 2))
-    head = next(blocks)  # the first block also feeds the gradient-norm diagnostic
-    wrong = zero_one_errors(W, head)
-    for block in blocks:
-        wrong += zero_one_errors(W, block)
-    errs = (wrong / n_hold).reshape(kept.shape[:2])
+    trials = [_Trial(model, opt_target, kept_j) for (model, opt_target), kept_j in zip(groups, kept)]
 
-    per_sigma = []
-    diag_batch = min(_GRAD_DIAG_BATCH, n_hold)
-    diag_stride = max(1, kept.shape[1] // 50)
-    for sigma, vectors, width_errs in zip(config.grid, kept, errs):
-        ii = int(np.argmin(width_errs))
-        min_grad = float(np.min(batch_grad_norms(vectors[::diag_stride], head, sigma, diag_batch)))
-        per_sigma.append(
-            SigmaDiagnostic(
-                sigma=sigma,
-                T=config.t_cap,
-                beta=PsgdConfig(T=config.t_cap, sigma=sigma, rho=config.rho).step_size,
-                best_holdout_err=float(width_errs[ii]),
-                angle_best=angle_between(vectors[ii], model.w_star),
-                min_grad_norm=min_grad,
-                reached_rho=min_grad <= config.rho,
+    def each(step, *args):
+        for i, trial in enumerate(trials):
+            if not isinstance(trial, Exception):
+                try:
+                    step(trial, *args)
+                except Exception as exc:
+                    trials[i] = exc
+
+    blocks = _point_blocks(spec, n_hold, derive_seed(seed, 2))
+    each(_Trial.diagnose, next(blocks), config)  # the first block also feeds the gradient-norm diagnostic
+    for X in blocks:
+        each(_Trial.score, X)
+    each(_Trial.select, config, n_hold)
+    for X in _point_blocks(spec, config.eval_size, derive_seed(seed, 3)):
+        each(_Trial.evaluate, X)
+    wall_ms = (shared_s + (time.perf_counter() - t0) / len(groups)) * 1e3
+    return [t if isinstance(t, Exception) else t.report(spec, config, seed, wall_ms) for t in trials]
+
+
+class _Trial:
+    """One group's report for one seed, built from the point blocks its seed
+    job draws: holdout blocks (diagnose, then score), select, evaluation
+    blocks (evaluate), report. Integer error counts add up over the blocks,
+    so every rate equals the one the whole set gives."""
+
+    def __init__(self, model: NoiseModel, opt_target: float, kept: np.ndarray):
+        self.model = model
+        self.opt_target = opt_target
+        self.kept = kept  # (grid widths, iterates, d): each width's strided iterate list
+        self.W = kept.reshape(-1, kept.shape[-1])
+        self.wrong = np.zeros(len(self.W), dtype=np.int64)
+        self.flipped = self.wrong_w = 0
+
+    def _label(self, X) -> LabeledDataset:
+        return LabeledDataset(X, *corrupt_labels(self.model, X))
+
+    def score(self, X) -> LabeledDataset:
+        block = self._label(X)
+        self.wrong += zero_one_errors(self.W, block)
+        return block
+
+    def diagnose(self, X, config: LearnerConfig) -> None:
+        """score(X), and each width's least empirical gradient norm on X's
+        first min(_GRAD_DIAG_BATCH, len(X)) examples."""
+        block = self.score(X)
+        stride = max(1, self.kept.shape[1] // 50)
+        batch = min(_GRAD_DIAG_BATCH, len(block))
+        self.min_grads = [float(np.min(batch_grad_norms(vectors[::stride], block, sigma, batch)))
+                          for sigma, vectors in zip(config.grid, self.kept)]
+
+    def select(self, config: LearnerConfig, n_hold: int) -> None:
+        errs = (self.wrong / n_hold).reshape(self.kept.shape[:2])
+        self.per_sigma = []
+        for sigma, vectors, width_errs, min_grad in zip(config.grid, self.kept, errs, self.min_grads):
+            ii = int(np.argmin(width_errs))
+            self.per_sigma.append(
+                SigmaDiagnostic(
+                    sigma=sigma,
+                    T=config.t_cap,
+                    beta=PsgdConfig(T=config.t_cap, sigma=sigma, rho=config.rho).step_size,
+                    best_holdout_err=float(width_errs[ii]),
+                    angle_best=angle_between(vectors[ii], self.model.w_star),
+                    min_grad_norm=min_grad,
+                    reached_rho=min_grad <= config.rho,
+                )
             )
-        )
-    li, ii = np.unravel_index(int(np.argmin(errs)), errs.shape)  # ties: grid order, then iterate order
-    sigma_best = config.grid[li]
-    w = kept[li, ii]
-    flipped = wrong_w = 0
-    for block in _labeled_blocks(spec, model, config.eval_size, derive_seed(seed, 3)):
-        flipped += int(np.count_nonzero(block.flipped))
-        wrong_w += int(_zero_one_errors_blocked(w[None, :], block)[0])
+        li, ii = np.unravel_index(int(np.argmin(errs)), errs.shape)  # ties: grid order, then iterate order
+        self.sigma_best = config.grid[li]
+        self.w = self.kept[li, ii]
 
-    return TrialReport(
-        seed=int(seed),
-        family=spec.family,
-        d=spec.dim,
-        opt_target=float(opt_target),
-        measured_noise_rate=flipped / config.eval_size,
-        sigma_best=sigma_best,
-        err01=wrong_w / config.eval_size,
-        angle_to_wstar=angle_between(w, model.w_star),
-        T_used=config.t_cap,
-        beta=PsgdConfig(T=config.t_cap, sigma=sigma_best, rho=config.rho).step_size,
-        wall_ms=(shared_s + time.perf_counter() - t0) * 1e3,
-        per_sigma=per_sigma,
-    )
+    def evaluate(self, X) -> None:
+        block = self._label(X)
+        self.flipped += int(np.count_nonzero(block.flipped))
+        self.wrong_w += int(_zero_one_errors_blocked(self.w[None, :], block)[0])
+
+    def report(self, spec, config: LearnerConfig, seed: int, wall_ms: float) -> TrialReport:
+        return TrialReport(
+            seed=int(seed),
+            family=spec.family,
+            d=spec.dim,
+            opt_target=float(self.opt_target),
+            measured_noise_rate=self.flipped / config.eval_size,
+            sigma_best=self.sigma_best,
+            err01=self.wrong_w / config.eval_size,
+            angle_to_wstar=angle_between(self.w, self.model.w_star),
+            T_used=config.t_cap,
+            beta=PsgdConfig(T=config.t_cap, sigma=self.sigma_best, rho=config.rho).step_size,
+            wall_ms=wall_ms,
+            per_sigma=self.per_sigma,
+        )

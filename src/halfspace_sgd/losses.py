@@ -52,9 +52,10 @@ def sigmoid_slope(t, sigma: float = 1.0):
     """d/dt sigmoid(t, sigma) = e / (sigma (1 + e)^2) with e = exp(-|t|/sigma).
 
     Even in t, no sign masks, and no overflow at any finite t/sigma. sigma is
-    a scalar or broadcasts against t; it is not checked here (the optimizer
-    calls it on every step's k margins), so callers pass validated widths
-    (PsgdConfig, LearnerConfig).
+    a scalar or broadcasts against t; it is not checked here, so callers pass
+    validated widths (PsgdConfig, LearnerConfig). The PSGD step does not call
+    it: it uses the equal form 1 / (4 sigma cosh^2(t / (2 sigma))), checked
+    against this one in the tests.
     """
     e = np.exp(-np.abs(t) / sigma)
     return e / (sigma * (1.0 + e) ** 2)

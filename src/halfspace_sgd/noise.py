@@ -143,13 +143,23 @@ def make_dataset(spec, model: NoiseModel, n: int, seed: int) -> LabeledDataset:
 
 class NoisyExampleStream:
     """Seeded stream of labeled examples: marginal samples labeled by
-    corrupt_labels."""
+    corrupt_labels.
 
-    def __init__(self, spec, model: NoiseModel, seed: int):
-        _check_dims(spec, model)
-        self.model = model
+    `model` is one NoiseModel, or a list of them: then take(k) draws its k
+    points once and returns their labels under every model as the columns of
+    a (k, len(list)) array. Each column equals the labels of a stream built
+    on that model alone with the same seed.
+    """
+
+    def __init__(self, spec, model, seed: int):
+        self._models = [model] if isinstance(model, NoiseModel) else list(model)
+        for m in self._models:
+            _check_dims(spec, m)
+        self._single = isinstance(model, NoiseModel)
         self._points = SampleStream(spec, seed)
 
     def take(self, k: int):
         X = self._points.take(k)
-        return X, corrupt_labels(self.model, X)[0]
+        if self._single:
+            return X, corrupt_labels(self._models[0], X)[0]
+        return X, np.stack([corrupt_labels(m, X)[0] for m in self._models], axis=1)

@@ -88,7 +88,8 @@ def test_out_of_range_opt_exits_2(tmp_path):
 
 
 def test_learn_workers_match_serial(tmp_path):
-    # with two or more CPUs the default runs the two opt groups' reports on threads
+    # with two or more CPUs the default runs the two seeds' report jobs, each
+    # scoring both opt groups, on threads
     cfg = _write(tmp_path / "c.txt", TINY_LEARN.replace("opt_list = 0.02", "opt_list = 0.02, 0.05"))
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     assert main(["learn", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
@@ -225,14 +226,15 @@ def test_learn_failures_mark_their_groups(tmp_path, monkeypatch):
     from halfspace_sgd import learner
 
     cfg = _write(tmp_path / "c.txt", TINY_LEARN.replace("opt_list = 0.02", "opt_list = 0.02, 0.05"))
-    report = learner._group_reports
+    select = learner._Trial.select
 
-    def report_fails_at_005(job):
-        if job[4] == 0.05:
+    def select_fails_at_005(trial, *args):
+        # one group's own step fails in every seed job; the other group's reports stand
+        if trial.opt_target == 0.05:
             raise RuntimeError("report boom")
-        return report(job)
+        return select(trial, *args)
 
-    monkeypatch.setattr(learner, "_group_reports", report_fails_at_005)
+    monkeypatch.setattr(learner._Trial, "select", select_fails_at_005)
     out = tmp_path / "r.csv"
     assert main(["learn", "--config", cfg, "--out", str(out)]) == 1
     assert [r[0] for r in _rows(out)[1:]] == ["50", "51", "FAILED"]

@@ -11,7 +11,6 @@ from halfspace_sgd import learner
 from halfspace_sgd.geometry import halfspace_labels, unit_vector
 from halfspace_sgd.learner import (
     LearnerConfig,
-    _trial_report,
     _zero_one_errors_2d,
     _zero_one_errors_blocked,
     default_holdout_size,
@@ -25,12 +24,19 @@ from halfspace_sgd.optimizer import PsgdConfig, psgd_lockstep
 from helpers import estimate_err01, reference_trial_report
 
 
+def _seed_report(spec, model, config, seed, opt_target, kept):
+    """The one-group report of learner._seed_reports for candidate lists
+    `kept` (grid widths, iterates, d)."""
+    [rep] = learner._seed_reports((spec, [(model, opt_target)], config, seed, kept[None], 0.0))
+    return rep
+
+
 def _pick(spec, model, kept):
     """(sigma_best, angle_to_wstar) of the trial report that selects from the
     candidate lists `kept` (grid widths, iterates, d); its holdout is
     _pick_holdout(spec, model)."""
     config = LearnerConfig(grid=(0.3, 0.2, 0.1)[: len(kept)], t_cap=1, holdout_size=50_000, eval_size=1_000)
-    rep = _trial_report(spec, model, config, 8, float("nan"), np.asarray(kept, dtype=float), 0.0)
+    rep = _seed_report(spec, model, config, 8, float("nan"), np.asarray(kept, dtype=float))
     return rep.sigma_best, rep.angle_to_wstar
 
 
@@ -50,10 +56,10 @@ def test_streamed_trial_report_matches_materialised_reference(family, n_hold, n_
     rng = np.random.default_rng(21)
     kept = model.w_star + 0.3 * rng.standard_normal((3, 60, spec.dim))
     kept /= np.linalg.norm(kept, axis=2, keepdims=True)
-    blocks = list(learner._labeled_blocks(spec, model, n_hold, derive_seed(4, 2)))
+    blocks = list(learner._point_blocks(spec, n_hold, derive_seed(4, 2)))
     assert [len(b) for b in blocks] == holdout_blocks
 
-    rep = _trial_report(spec, model, config, 4, 0.05, kept, 0.0)
+    rep = _seed_report(spec, model, config, 4, 0.05, kept)
     ref = reference_trial_report(spec, model, config, 4, kept)
     assert rep.measured_noise_rate == ref["measured_noise_rate"]
     assert rep.sigma_best == ref["sigma_best"]
@@ -207,13 +213,25 @@ def test_learn_batch_matches_solo_learn():
 
 
 def test_multi_group_batch_matches_solo_group():
-    # every (group, seed, sigma) row shares one lockstep batch; each group's
-    # reports equal those of the group run alone, bit for bit (wall_ms aside)
-    spec = dist.gaussian(3)
-    w_star = unit_vector(3, 1)
-    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt)
-              for opt in (0.02, 0.05)]
-    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, holdout_size=10_000, eval_size=10_000,
+    # every (group, seed, sigma) row shares one lockstep batch and each seed's
+    # draws; each group's reports equal those of the group run alone, bit for
+    # bit (wall_ms aside). Cases: two groups; three groups on full holdout
+    # blocks; heavy tails (one holdout block); a holdout whose last block is
+    # one row
+    for family, opts, holdout_size in [
+        ("gaussian", (0.02, 0.05), 10_000),
+        ("gaussian", (0.01, 0.02, 0.05), 8_192),
+        ("heavy_tailed", (0.02, 0.05), 10_000),
+        ("gaussian", (0.02, 0.05), 4_097),
+    ]:
+        _check_groups_match_solo(family, opts, holdout_size)
+
+
+def _check_groups_match_solo(family, opts, holdout_size):
+    spec = dist.gaussian(3) if family == "gaussian" else dist.heavy_tailed(3.0)
+    w_star = unit_vector(spec.dim, 1)
+    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt) for opt in opts]
+    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, holdout_size=holdout_size, eval_size=5_000,
                         candidate_stride=100)
     seeds = [5, 6]
 
@@ -227,7 +245,42 @@ def test_multi_group_batch_matches_solo_group():
     for group, reports in zip(groups, batch):
         solo = learn_batch(spec, [group], cfg, seeds)[0]
         assert [fields(r) for r in reports] == [fields(r) for r in solo]
-    assert [r.opt_target for r in batch[1]] == [0.05, 0.05]
+    assert [[r.opt_target for r in reports] for reports in batch] == [[opt, opt] for opt in opts]
+
+
+@pytest.mark.parametrize("spec", [dist.gaussian(3), dist.heavy_tailed(3.0)], ids=["gaussian", "heavy_tailed"])
+def test_groups_share_every_draw(spec, monkeypatch):
+    # the points sampled for a 2-opt x 2-seed batch are exactly those of the
+    # same seeds' 1-opt batch: PSGD streams, holdout and eval sets are drawn
+    # once per seed and labeled under each group's model
+    drawn = []
+    take, sample = dist.SampleStream.take, dist.sample
+
+    def counted_take(self, k):
+        out = take(self, k)
+        drawn.append(out.shape[0])
+        return out
+
+    def counted_sample(*args):
+        out = sample(*args)
+        drawn.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(dist.SampleStream, "take", counted_take)
+    monkeypatch.setattr(dist, "sample", counted_sample)
+    w_star = unit_vector(spec.dim, 1)
+    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt) for opt in (0.02, 0.05)]
+    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=3000, holdout_size=5_000, eval_size=4_000, candidate_stride=100)
+    seeds = [5, 6]
+
+    def points(groups):
+        drawn.clear()
+        learn_batch(spec, groups, cfg, seeds)
+        return sum(drawn)
+
+    one = points(groups[:1])
+    assert one == len(seeds) * (len(cfg.grid) * cfg.t_cap + cfg.holdout_size + cfg.eval_size)
+    assert points(groups) == one
 
 
 def test_wall_ms_is_per_trial():

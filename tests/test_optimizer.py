@@ -7,7 +7,8 @@ from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import angle_between, unit_vector
 from halfspace_sgd.learner import zero_one_errors
 from halfspace_sgd.noise import NoisyExampleStream, clean_labels, far_flip, make_dataset
-from halfspace_sgd.optimizer import PsgdConfig, batch_grad_norms, psgd_lockstep
+from halfspace_sgd.losses import sigmoid_slope
+from halfspace_sgd.optimizer import PsgdConfig, _slope_factor, batch_grad_norms, psgd_lockstep
 from helpers import ArrayStream, loop_grad_norms, reference_psgd
 
 
@@ -101,6 +102,47 @@ def test_fused_step_matches_gradient_reference(spec):
     np.testing.assert_allclose(kept, ref, rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(kept[-1], np.tile(unit_vector(spec.dim), (T, 1)))  # beta = 0 stays at e_1
     assert not any(np.allclose(w, unit_vector(spec.dim)) for w in kept[:-1, -1])  # every other row moved
+
+
+@pytest.mark.parametrize("rho", [0.25, 1.0])
+def test_cosh_slope_factor_matches_sigmoid_slope(rho):
+    # the step's c / cosh^2(h / (2 sigma)), c = y beta / (4 sigma), against
+    # y beta sigmoid_slope(h, sigma) over h / sigma in [-800, 800], past where
+    # cosh^2 overflows (|h / sigma| > 711.2). Within 8 ulps wherever the
+    # reference's exp(-|h| / sigma) is a normal number (|h / sigma| < 708.4);
+    # beyond, both are below beta / sigma times the least normal number
+    tiny = np.finfo(float).tiny
+    r = np.linspace(-800.0, 800.0, 160_001)
+    exact = np.abs(r) < -math.log(tiny)
+    for sigma in _WIDTHS + (0.25, 2.0**-10, 3.7):
+        config = PsgdConfig(T=1, sigma=sigma, rho=rho)
+        h = r * sigma
+        for y in (1.0, -1.0):
+            ref = y * config.step_size * sigmoid_slope(h, sigma)
+            with np.errstate(over="ignore"):  # as in psgd_lockstep
+                got = _slope_factor(h, y * (config.step_size / (4.0 * sigma)), 2.0 * sigma)
+            ulps = np.abs(got - ref)[exact] / np.spacing(np.abs(ref[exact]))
+            assert float(np.max(ulps)) <= 8.0, (sigma, float(r[exact][np.argmax(ulps)]))
+            floor = config.step_size / sigma * tiny
+            assert float(np.max(np.abs(got[~exact]))) <= floor
+            assert float(np.max(np.abs(ref[~exact]))) <= floor
+            assert np.all(got[np.abs(r) > 712.0] == 0.0)  # cosh^2 overflowed
+
+
+def test_steps_past_cosh_overflow_raise_no_warning():
+    # margins up to |h / sigma| = 2e5 overflow cosh^2 in most steps; the
+    # factor is then 0 and the run stays finite and on the sphere, with no
+    # RuntimeWarning (pytest turns those into errors)
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((300, 3)) * 1e3
+    X[::3] *= 1e-4  # some steps with moderate margins still move the iterate
+    y = np.where(rng.random(300) < 0.5, 1.0, -1.0)
+    config = PsgdConfig(T=300, sigma=0.01)
+    W = _solo(ArrayStream(X, y), config)
+    assert float(np.max(np.abs(X @ W.T))) / (2.0 * config.sigma) > 1e3
+    assert np.all(np.isfinite(W))
+    np.testing.assert_allclose(np.linalg.norm(W, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(W, reference_psgd([ArrayStream(X, y)], [config])[0], rtol=0.0, atol=1e-12)
 
 
 def test_lockstep_strides_and_final():
