@@ -25,10 +25,11 @@ Closed forms (2D, written with c = 2*sqrt(3), tail(Z) = Pr[||x|| >= Z]):
 Every closed form is cross-checked against adaptive quadrature of the density
 in the test suite. Non-Gaussian samplers draw a uniform angle and an exact
 radius: ||x|| ~ Gamma(2, scale 1/c) for logconcave, and ||x||/a_s ~
-BetaPrime(2, s) = Gamma(2)/Gamma(s) for heavy_tailed. The tail quantile and
-the oracle's truncation radius invert decreasing closed forms with one
-bracketing bisection, _invert_decreasing. The well-behavedness constants
-(U, R) of every family are closed forms as well (well_behaved_params).
+BetaPrime(2, s) = Gamma(2)/Gamma(s) for heavy_tailed. For every family, n
+points drawn in blocks of any sizes equal one draw of n (SampleStream). The
+tail quantile and the oracle's truncation radius invert decreasing closed
+forms with one bracketing bisection, _invert_decreasing. Every family's
+well-behavedness constants (U, R) are closed forms too (well_behaved_params).
 
 numpy has no erfc, so the odd-d Gaussian tails use _erfc, an array form of
 W. J. Cody's three-range rational Chebyshev approximations ("Rational
@@ -326,49 +327,49 @@ def z_for_tail_mass(spec: DistributionSpec, p: float) -> float:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _draw(spec: DistributionSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n i.i.d. points from the marginal, drawn from rng.
-
-    Gaussian: standard normal per coordinate. 2D radial families: uniform
-    angle and an exact radius, Gamma(2, scale 1/(2 sqrt3)) for logconcave
-    (radial density 12 r e^{-2 sqrt3 r}) and a_s * Gamma(2) / Gamma(s) for
-    heavy_tailed (r/a_s ~ BetaPrime(2, s), density s(s+1) u (1+u)^{-(2+s)}).
-    """
-    if spec.family == "gaussian":
-        return rng.standard_normal((n, spec.dim))
-    phi = rng.uniform(0.0, 2.0 * math.pi, n)
-    if spec.family == "logconcave":
-        r = rng.gamma(2.0, 1.0 / _C_LC, n)
-    else:  # scaled draw, in-place divide: one n-array temporary
-        r = rng.gamma(2.0, solve_isotropic_params(spec.s)[0], n)
-        r /= rng.gamma(spec.s, 1.0, n)
-    return r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
-
-
 def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. points; deterministic given (spec, seed) and bitwise
-    equal to SampleStream(spec, seed).take(n). For the Gaussian it also
-    equals any split of n into consecutive takes; see SampleStream."""
+    equal to any split of n into consecutive SampleStream(spec, seed) takes."""
     if n < 1:
         raise ValueError("need n >= 1 samples")
-    return _draw(spec, np.random.default_rng(seed), n)
+    return SampleStream(spec, seed)._draw(n)
 
 
 class SampleStream:
     """Seeded, chunked source of i.i.d. points; one PSGD pass consumes one stream.
 
-    Gaussian takes are block-consistent: consecutive take(k) calls
+    Takes are block-consistent for every family: consecutive take(k) calls
     concatenate bitwise to one sample() draw of their total size, whatever
-    the k. The 2D radial families are not: each take draws all its angles,
-    then all its radii, so the points depend on how n is split.
+    the k. Each component of a point comes from a generator of its own, and
+    numpy's uniform, gamma and standard_normal give the same values however
+    their n is split.
     """
 
     def __init__(self, spec: DistributionSpec, seed: int):
         self.spec = spec
-        self._rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        self._rngs = (rng, *rng.spawn(2))  # spawning leaves rng's own stream as it was
 
     def take(self, k: int) -> np.ndarray:
-        return _draw(self.spec, self._rng, k)
+        return self._draw(k)
+
+    def _draw(self, n: int) -> np.ndarray:
+        """The next n points. Gaussian: standard normal per coordinate. 2D
+        radial families: a uniform angle and an exact radius, Gamma(2, scale
+        1/(2 sqrt3)) for logconcave (radial density 12 r e^{-2 sqrt3 r}) and
+        a_s * Gamma(2) / Gamma(s) for heavy_tailed (r/a_s ~ BetaPrime(2, s),
+        density s(s+1) u (1+u)^{-(2+s)}), each gamma factor from a spawned
+        child. The Gaussian and the angle read default_rng(seed) alone."""
+        rng, radius, divisor = self._rngs
+        if self.spec.family == "gaussian":
+            return rng.standard_normal((n, self.spec.dim))
+        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+        if self.spec.family == "logconcave":
+            r = radius.gamma(2.0, 1.0 / _C_LC, n)
+        else:  # scaled draw, in-place divide: one n-array temporary
+            r = radius.gamma(2.0, solve_isotropic_params(self.spec.s)[0], n)
+            r /= divisor.gamma(self.spec.s, 1.0, n)
+        return r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,12 @@ their labels. So each seed's training streams, holdout and evaluation set
 are drawn once and labeled by corrupt_labels under every model; one report
 job per seed scores every model's trial on the same blocks.
 
-Neither the holdout nor the evaluation set is held whole. For the Gaussian,
-each is drawn _SCORE_ROWS examples at a time from one SampleStream (those
-blocks concatenate bitwise to one sample() draw), labeled, scored and
-dropped; integer error counts add up over the blocks, so every rate equals
-the one the whole set gives. The first holdout block also feeds the
-per-width gradient-norm diagnostic. The 2D radial families draw all n points
-at once, so their sets come as one block.
+Neither the holdout nor the evaluation set is held whole, for any family.
+Each is drawn in blocks of about 1 MiB of points from one SampleStream
+(those blocks concatenate bitwise to one sample() draw), labeled, scored
+and dropped; integer error counts add up over the blocks, so every rate
+equals the one the whole set gives. The first holdout block also feeds the
+per-width gradient-norm diagnostic.
 
 Experiments run on a desk-scale grid and a capped step count; whether the
 target gradient norm was reached is recorded per width (reached_rho).
@@ -54,7 +53,8 @@ __all__ = [
 
 DEFAULT_GRID = (0.32, 0.16, 0.08, 0.04, 0.02)
 _GRAD_DIAG_BATCH = 2_000  # holdout examples behind each per-width gradient-norm diagnostic
-_SCORE_ROWS = 2_048       # examples per drawn block; holds the diagnostic batch
+_SCORE_ROWS = 2_048       # examples per scored slice, at most; holds the diagnostic batch
+_BLOCK_BYTES = 1 << 20    # float64 bytes of points per drawn block: 65,536 rows at d = 2
 _SCORE_COLS = 256         # candidates per scored slice
 _SCORE_PAIRS = 131_072    # scores per scored slice: 1 MiB of float64, 512 rows at 256 candidates
 
@@ -236,11 +236,10 @@ def _raise_failure(reports: list) -> list:
 
 
 def _point_blocks(spec, n: int, seed: int):
-    """sample(spec, n, seed) as consecutive blocks of at most _SCORE_ROWS
-    points; one block for the 2D radial families, whose takes do not
-    concatenate to one draw."""
+    """sample(spec, n, seed) as consecutive blocks of _BLOCK_BYTES of points,
+    but at least _SCORE_ROWS rows each; the last block may be shorter."""
     points = dist.SampleStream(spec, seed)
-    rows = _SCORE_ROWS if spec.family == "gaussian" else n
+    rows = max(_SCORE_ROWS, _BLOCK_BYTES // (8 * spec.dim))
     for lo in range(0, n, rows):
         yield points.take(min(rows, n - lo))
 

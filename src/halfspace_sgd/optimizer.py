@@ -27,7 +27,7 @@ __all__ = [
     "batch_grad_norms",
 ]
 
-_CHUNK = 2048  # stream draw granularity; 2D radial families draw per chunk, so results depend on it
+_CHUNK = 2048  # steps per stream draw; takes concatenate bitwise, so no result depends on it
 
 
 @dataclass(frozen=True)

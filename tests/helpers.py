@@ -14,7 +14,7 @@ from halfspace_sgd.geometry import angle_between, halfspace_labels, rotate2d, un
 from halfspace_sgd.learner import derive_seed, zero_one_errors
 from halfspace_sgd.losses import sigmoid, surrogate_grad_rows
 from halfspace_sgd.noise import corrupt_labels, make_dataset
-from halfspace_sgd.optimizer import _CHUNK, batch_grad_norms
+from halfspace_sgd.optimizer import batch_grad_norms
 from halfspace_sgd.quadrature import gl_panels, refine_by_doubling
 
 
@@ -147,23 +147,20 @@ def reference_psgd(streams, configs) -> np.ndarray:
     """Every iterate (k, T, d) of len(streams) PSGD runs stepped from the
     gradient definition: W - beta * surrogate_grad_rows(W, x, y, sigma), then
     a row-norm rescale. The reference for optimizer.psgd_lockstep's fused
-    step; streams are drawn in the optimizer's chunks, so both see the same
-    examples."""
+    step. Each stream is drawn with one take(T): stream takes concatenate
+    bitwise, so both see the same examples whatever the optimizer's chunk."""
     T = configs[0].T
     beta = np.array([c.step_size for c in configs])[:, None]
     sigma = np.array([c.sigma for c in configs])
-    W = None
+    draws = [s.take(T) for s in streams]
+    Xc = np.stack([X for X, _ in draws], axis=1)
+    yc = np.stack([y for _, y in draws], axis=1)
+    W = np.tile(unit_vector(Xc.shape[2]), (len(streams), 1))
     trail = []
-    for start in range(0, T, _CHUNK):
-        draws = [s.take(min(_CHUNK, T - start)) for s in streams]
-        Xc = np.stack([X for X, _ in draws], axis=1)
-        yc = np.stack([y for _, y in draws], axis=1)
-        if W is None:
-            W = np.tile(unit_vector(Xc.shape[2]), (len(streams), 1))
-        for x, y in zip(Xc, yc):
-            V = W - beta * surrogate_grad_rows(W, x, y, sigma)
-            W = V / np.sqrt(np.einsum("ij,ij->i", V, V))[:, None]
-            trail.append(W)
+    for x, y in zip(Xc, yc):
+        V = W - beta * surrogate_grad_rows(W, x, y, sigma)
+        W = V / np.sqrt(np.einsum("ij,ij->i", V, V))[:, None]
+        trail.append(W)
     return np.stack(trail, axis=1)
 
 

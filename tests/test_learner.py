@@ -45,10 +45,10 @@ def _pick_holdout(spec, model):
 
 
 @pytest.mark.parametrize("family, n_hold, n_eval, holdout_blocks", [
-    ("gaussian", 5_001, 3_333, [2048, 2048, 905]),
+    ("gaussian", 100_001, 3_333, [43_690, 43_690, 12_621]),
     ("gaussian", 1_500, 3_333, [1500]),
-    ("heavy_tailed", 5_001, 3_333, [5001]),
-], ids=["gaussian-partial-last-block", "holdout-below-diag-batch", "heavy-tailed-one-block"])
+    ("heavy_tailed", 140_001, 3_333, [65_536, 65_536, 8_929]),
+], ids=["gaussian-partial-last-block", "holdout-below-diag-batch", "heavy-tailed-several-blocks"])
 def test_streamed_trial_report_matches_materialised_reference(family, n_hold, n_eval, holdout_blocks):
     spec = dist.gaussian(3) if family == "gaussian" else dist.heavy_tailed(3.0)
     model = far_flip(unit_vector(spec.dim, 1), Z=dist.z_for_tail_mass(spec, 0.05), theta2=math.pi / 8)
@@ -215,14 +215,15 @@ def test_learn_batch_matches_solo_learn():
 def test_multi_group_batch_matches_solo_group():
     # every (group, seed, sigma) row shares one lockstep batch and each seed's
     # draws; each group's reports equal those of the group run alone, bit for
-    # bit (wall_ms aside). Cases: two groups; three groups on full holdout
-    # blocks; heavy tails (one holdout block); a holdout whose last block is
-    # one row
+    # bit (wall_ms aside). Cases: two groups; three groups on two full
+    # holdout blocks (43,690 rows at d = 3); heavy tails on two blocks
+    # (65,536 rows at d = 2), the last of one row; a holdout whose last block
+    # is one row
     for family, opts, holdout_size in [
         ("gaussian", (0.02, 0.05), 10_000),
-        ("gaussian", (0.01, 0.02, 0.05), 8_192),
-        ("heavy_tailed", (0.02, 0.05), 10_000),
-        ("gaussian", (0.02, 0.05), 4_097),
+        ("gaussian", (0.01, 0.02, 0.05), 87_380),
+        ("heavy_tailed", (0.02, 0.05), 65_537),
+        ("gaussian", (0.02, 0.05), 43_691),
     ]:
         _check_groups_match_solo(family, opts, holdout_size)
 

@@ -89,7 +89,8 @@ _WIDTHS = (0.32, 0.1, 0.032, 0.01, 0.0032, 0.001)
 def test_fused_step_matches_gradient_reference(spec):
     # the fused unit-sphere step against W - beta * surrogate_grad_rows and a
     # rescale, over 2,500 steps (past the first 2,048-step chunk) at every
-    # width and at beta = 0
+    # width and at beta = 0; the reference draws each stream in one take, so
+    # every family's iterates do not depend on the optimizer's chunk
     T = 2500
     model = far_flip(unit_vector(spec.dim, 1), Z=dist.z_for_tail_mass(spec, 0.05), theta2=math.pi / 8)
     configs = [PsgdConfig(T=T, sigma=s) for s in _WIDTHS] + [PsgdConfig(T=T, sigma=0.1, rho=0.0)]
