@@ -47,8 +47,10 @@ def _pick_holdout(spec, model):
 @pytest.mark.parametrize("family, n_hold, n_eval, holdout_blocks", [
     ("gaussian", 100_001, 3_333, [43_690, 43_690, 12_621]),
     ("gaussian", 1_500, 3_333, [1500]),
+    ("heavy_tailed", 5_001, 3_333, [5001]),
     ("heavy_tailed", 140_001, 3_333, [65_536, 65_536, 8_929]),
-], ids=["gaussian-partial-last-block", "holdout-below-diag-batch", "heavy-tailed-several-blocks"])
+], ids=["gaussian-partial-last-block", "holdout-below-diag-batch", "heavy-tailed-one-block",
+        "heavy-tailed-several-blocks"])
 def test_streamed_trial_report_matches_materialised_reference(family, n_hold, n_eval, holdout_blocks):
     spec = dist.gaussian(3) if family == "gaussian" else dist.heavy_tailed(3.0)
     model = far_flip(unit_vector(spec.dim, 1), Z=dist.z_for_tail_mass(spec, 0.05), theta2=math.pi / 8)
