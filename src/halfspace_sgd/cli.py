@@ -22,12 +22,10 @@ or config error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 
@@ -37,7 +35,7 @@ from . import __version__
 from . import distributions as dist
 from .baselines import full_batch_minimize
 from .geometry import angle_between, unit_vector
-from .learner import LearnerConfig, default_holdout_size, derive_seed, learn_batch
+from .learner import LearnerConfig, default_holdout_size, derive_seed, learn_batch, map_jobs
 from .losses import convex_surrogate
 from .noise import far_flip, make_dataset
 from .oracle import ORACLE_KINDS, QuadratureSpec, admissible_theta, predicted_floor, scan_cone
@@ -54,8 +52,7 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 def _float_list(v: str) -> tuple[float, ...]:
-    items = tuple(float(p) for p in v.split(",") if p.strip())
-    return items
+    return tuple(float(p) for p in v.split(",") if p.strip())
 
 
 def _str_list(v: str) -> tuple[str, ...]:
@@ -173,9 +170,7 @@ def _check_rows(d: int, **sizes) -> None:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer, np.bool_)):  # bool is an int
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))
@@ -235,12 +230,9 @@ def _learn_groups(cfg) -> tuple:
 
 
 def _learn_run(spec, lc, groups, seeds, timing: bool, per_sigma_rows: bool, workers: int) -> list:
-    """Advance the runs of every group in one lockstep batch, then spread the
-    per-group reports over the workers; a PSGD failure fails every group."""
-    try:
-        outcomes = learn_batch(spec, groups, lc, seeds, map_groups=partial(_map_groups, workers=workers))
-    except Exception as exc:
-        outcomes = [exc] * len(groups)
+    """Every group in one learn_batch, its seed jobs over the workers; each
+    group's entry becomes its rows, or stays the exception that failed it."""
+    outcomes = learn_batch(spec, groups, lc, seeds, workers)
     return [out if isinstance(out, Exception) else _report_rows(out, timing, per_sigma_rows) for out in outcomes]
 
 
@@ -309,18 +301,23 @@ def _convex_fits(spec, model, losses, conv_n, conv_seed, gtol) -> list[tuple]:
     return fits
 
 
-def _compare_group(args) -> list[list]:
+def _compare_run(groups, workers: int) -> list:
+    """The opt groups on outer = min(workers, groups) threads, each group's
+    seeds on max(1, workers // outer): never more than `workers` threads."""
+    outer = min(workers, len(groups))
+    return map_jobs(partial(_compare_group, workers=max(1, workers // outer)), groups, outer)
+
+
+def _compare_group(args, workers: int) -> list[list]:
+    """One opt's rows: its convex fits, then its seeds in one learn_batch on
+    `workers` threads; raises the batch's failure, so the group gets a FAILED row."""
     spec, model, lc, losses, opt, floor, seeds, conv_n, conv_seed, gtol = args
     convex = _convex_fits(spec, model, losses, conv_n, conv_seed, gtol)
-    reports = learn_batch(spec, [(model, opt)], lc, seeds)[0]
-    rows = []
-    for kind, c_angle, c_gnorm in convex:
-        for rep in reports:
-            rows.append([
-                spec.family, opt, kind, rep.seed, rep.angle_to_wstar, rep.err01,
-                rep.sigma_best, c_angle, c_gnorm, floor,
-            ])
-    return rows
+    [reports] = learn_batch(spec, [(model, opt)], lc, seeds, workers)
+    if isinstance(reports, Exception):
+        raise reports
+    return [[spec.family, opt, kind, rep.seed, rep.angle_to_wstar, rep.err01, rep.sigma_best,
+             c_angle, c_gnorm, floor] for kind, c_angle, c_gnorm in convex for rep in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -359,25 +356,6 @@ def _lowerbound_group(args) -> list[list]:
 # driver
 # ---------------------------------------------------------------------------
 
-def _map_groups(fn, groups, workers: int) -> list:
-    """[fn(g) for g in groups] in config order, over at most min(workers,
-    groups, usable CPUs) threads, and in this thread alone when that is 1; a
-    group that raises gives its exception in place of its result. numpy
-    releases the GIL in the array passes that dominate a report or a cone
-    scan, so the threads share the cores; each group is computed on its own,
-    so results do not depend on the thread count."""
-    n = min(workers, len(groups), len(os.sched_getaffinity(0)))
-    results = []
-    with ThreadPoolExecutor(max_workers=n) if n > 1 else contextlib.nullcontext() as pool:
-        calls = [pool.submit(fn, g).result if pool else partial(fn, g) for g in groups]
-        for call in calls:
-            try:
-                results.append(call())
-            except Exception as exc:
-                results.append(exc)
-    return results
-
-
 def _collect(outcomes, header_width: int):
     """(rows, any_failure) from per-group row lists; a group's exception
     becomes one FAILED marker row instead of aborting the harness."""
@@ -395,15 +373,16 @@ def _collect(outcomes, header_width: int):
 
 def _build_groups(command: str, cfg: dict, timing: bool):
     """(CSV header, run) for a command, with run(workers) -> one outcome per
-    group for _collect (see _map_groups); every spec, noise model,
-    LearnerConfig and scan input is built here, so a value that passes its
-    _SCHEMAS check but not a constructor's raises ValueError before any
-    group runs."""
+    group for _collect: its rows, or the exception that failed it (see
+    learner.map_jobs); each command runs one level of threads, at most
+    `workers` of them. Every spec, noise model, LearnerConfig and scan input
+    is built here, so a value that passes its _SCHEMAS check but not a
+    constructor's raises ValueError before any group runs."""
     if command == "lowerbound":
-        return _LOWERBOUND_HEADER, partial(_map_groups, _lowerbound_group, _lowerbound_groups(cfg))
+        return _LOWERBOUND_HEADER, partial(map_jobs, _lowerbound_group, _lowerbound_groups(cfg))
     seeds = [cfg["seed_base"] + j for j in range(cfg["seeds"])]
     if command == "compare":
-        return _COMPARE_HEADER, partial(_map_groups, _compare_group, _compare_groups(cfg, seeds))
+        return _COMPARE_HEADER, partial(_compare_run, _compare_groups(cfg, seeds))
     header = _SWEEP_HEADER if command == "sweep" else _LEARN_HEADER
     return header, partial(_learn_run, *_learn_groups(cfg), seeds, timing, command == "sweep")
 

@@ -14,7 +14,10 @@ The points of a trial depend on its seed alone: the noise models of one
 learn_batch call share w*, the tilt and the marginal, and differ only in
 their labels. So each seed's training streams, holdout and evaluation set
 are drawn once and labeled by corrupt_labels under every model; one report
-job per seed scores every model's trial on the same blocks.
+job per seed scores every model's trial on the same blocks. Every job of the
+package, these and the CLI's, runs on map_jobs, its one thread map, which
+puts a failed job's exception in its place; so learn_batch returns each
+group's reports or the exception that failed the group.
 
 Neither the holdout nor the evaluation set is held whole, for any family.
 Each is drawn in blocks of about 1 MiB of points from one SampleStream
@@ -29,9 +32,13 @@ target gradient norm was reached is recorded per width (reached_rho).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -48,6 +55,7 @@ __all__ = [
     "zero_one_errors",
     "learn",
     "learn_batch",
+    "map_jobs",
     "derive_seed",
 ]
 
@@ -185,11 +193,33 @@ class TrialReport:
 
 def learn(spec, model: NoiseModel, config: LearnerConfig, seed: int,
           opt_target: float = float("nan")) -> TrialReport:
-    """Grid sweep -> per-sigma candidates -> holdout selection -> report."""
-    return learn_batch(spec, [(model, opt_target)], config, [seed])[0][0]
+    """Grid sweep -> per-sigma candidates -> holdout selection -> report; raises its failure."""
+    [outcome] = learn_batch(spec, [(model, opt_target)], config, [seed])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome[0]
 
 
-def learn_batch(spec, groups, config: LearnerConfig, seeds, map_groups=map) -> list:
+def map_jobs(fn, jobs, workers: int = 1) -> list:
+    """[fn(job) for job in jobs] in job order, over at most min(workers,
+    jobs, usable CPUs) threads, and in the calling thread alone when that is
+    1; a job that raises gives its exception in place of its result. numpy
+    releases the GIL in the array passes that dominate a report or a cone
+    scan, so the threads share the cores; each job is computed on its own,
+    so results do not depend on the thread count."""
+    n = min(workers, len(jobs), len(os.sched_getaffinity(0)))
+    results = []
+    with ThreadPoolExecutor(max_workers=n) if n > 1 else contextlib.nullcontext() as pool:
+        calls = [pool.submit(fn, job).result if pool else partial(fn, job) for job in jobs]
+        for call in calls:
+            try:
+                results.append(call())
+            except Exception as exc:
+                results.append(exc)
+    return results
+
+
+def learn_batch(spec, groups, config: LearnerConfig, seeds, workers: int = 1) -> list:
     """learn() for every (noise model, opt_target) pair in `groups` and every
     seed, each report identical to its solo learn() (wall_ms aside).
 
@@ -199,15 +229,13 @@ def learn_batch(spec, groups, config: LearnerConfig, seeds, map_groups=map) -> l
     rows advance in one batch; row-local arithmetic keeps each row equal to
     its solo run. Reports: one job per seed (_seed_reports) draws the holdout,
     then the evaluation set, block by block and scores every group on each
-    block. The jobs run as map_groups(fn, jobs), the builtin map by default;
-    the CLI passes one that spreads them over threads and puts a failing
-    job's exception in its place.
+    block. The jobs run on map_jobs over `workers` threads, serially by
+    default.
 
-    Returns one entry per group: its list of TrialReports, one per seed. A
-    failure in PSGD or in a seed's shared draws fails every group; one in a
-    group's own steps fails that group alone. Each group's outcome passes
-    through map_groups as well, so the builtin map raises its failure and
-    the CLI's puts it in the group's place.
+    Returns one entry per group: its list of TrialReports, one per seed, or
+    the first exception, in seed order, that failed it. A failure in the
+    streams or PSGD fills every entry, one in a seed's shared draws fails
+    every group, and one in a group's own steps fails that group alone.
 
     wall_ms is per trial: an equal share of the batch's lockstep time plus an
     equal share of its seed job's time.
@@ -216,23 +244,18 @@ def learn_batch(spec, groups, config: LearnerConfig, seeds, map_groups=map) -> l
     groups, seeds = list(groups), list(seeds)
     g, trials = len(config.grid), len(groups) * len(seeds)
     models = [model for model, _ in groups]
-    streams = [NoisyExampleStream(spec, models, derive_seed(seed, 1, i)) for seed in seeds for i in range(g)]
-    configs = [PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho) for s in config.grid for _ in groups]
-    out = psgd_lockstep(streams, configs * len(seeds), keep_every=config.candidate_stride)
+    try:
+        streams = [NoisyExampleStream(spec, models, derive_seed(seed, 1, i)) for seed in seeds for i in range(g)]
+        configs = [PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho) for s in config.grid for _ in groups]
+        out = psgd_lockstep(streams, configs * len(seeds), keep_every=config.candidate_stride)
+    except Exception as exc:
+        return [exc] * len(groups)
     shared_s = (time.perf_counter() - t0) / trials
     kept = out.kept.reshape(len(seeds), g, len(groups), *out.kept.shape[1:]).swapaxes(1, 2)
     jobs = [(spec, groups, config, seed, kept[si], shared_s) for si, seed in enumerate(seeds)]
-    per_seed = list(map_groups(_seed_reports, jobs))
-    outcomes = [[r if isinstance(r, Exception) else r[j] for r in per_seed] for j in range(len(groups))]
-    return list(map_groups(_raise_failure, outcomes))
-
-
-def _raise_failure(reports: list) -> list:
-    """A group's reports, one per seed; raises the first failure among them."""
-    for r in reports:
-        if isinstance(r, Exception):
-            raise r
-    return reports
+    per_seed = map_jobs(_seed_reports, jobs, workers)
+    by_group = [[r if isinstance(r, Exception) else r[j] for r in per_seed] for j in range(len(groups))]
+    return [next((r for r in reports if isinstance(r, Exception)), reports) for reports in by_group]
 
 
 def _point_blocks(spec, n: int, seed: int):

@@ -142,24 +142,17 @@ def make_dataset(spec, model: NoiseModel, n: int, seed: int) -> LabeledDataset:
 
 
 class NoisyExampleStream:
-    """Seeded stream of labeled examples: marginal samples labeled by
-    corrupt_labels.
+    """Seeded stream of labeled examples: take(k) draws k marginal points once
+    and returns them with their corrupt_labels under every model of a list,
+    as the columns of a (k, len(models)) array; each column equals the labels
+    of a stream built on that model alone with the same seed."""
 
-    `model` is one NoiseModel, or a list of them: then take(k) draws its k
-    points once and returns their labels under every model as the columns of
-    a (k, len(list)) array. Each column equals the labels of a stream built
-    on that model alone with the same seed.
-    """
-
-    def __init__(self, spec, model, seed: int):
-        self._models = [model] if isinstance(model, NoiseModel) else list(model)
+    def __init__(self, spec, models, seed: int):
+        self._models = list(models)
         for m in self._models:
             _check_dims(spec, m)
-        self._single = isinstance(model, NoiseModel)
         self._points = SampleStream(spec, seed)
 
     def take(self, k: int):
         X = self._points.take(k)
-        if self._single:
-            return X, corrupt_labels(self._models[0], X)[0]
         return X, np.stack([corrupt_labels(m, X)[0] for m in self._models], axis=1)

@@ -154,7 +154,7 @@ def reference_psgd(streams, configs) -> np.ndarray:
     sigma = np.array([c.sigma for c in configs])
     draws = [s.take(T) for s in streams]
     Xc = np.stack([X for X, _ in draws], axis=1)
-    yc = np.stack([y for _, y in draws], axis=1)
+    yc = np.stack([y.reshape(T) for _, y in draws], axis=1)  # one labeling per stream
     W = np.tile(unit_vector(Xc.shape[2]), (len(streams), 1))
     trail = []
     for x, y in zip(Xc, yc):

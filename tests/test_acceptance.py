@@ -83,7 +83,7 @@ def test_c2_sphere_invariant():
     # at 100 sampled steps
     spec = dist.gaussian(5)
     model = far_flip(unit_vector(5, 1), Z=dist.z_for_tail_mass(spec, 0.02), theta2=math.pi / 8)
-    stream = NoisyExampleStream(spec, model, seed=2002)
+    stream = NoisyExampleStream(spec, [model], seed=2002)
     iterates = psgd_lockstep([stream], [PsgdConfig(T=10_000, sigma=0.1)]).kept[0]
     norms = np.linalg.norm(iterates, axis=1)
     max_norm_err = float(np.max(np.abs(norms - 1.0)))
@@ -151,6 +151,7 @@ def test_c5_upper_bound_scaling():
     start = time.perf_counter()
     groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt) for opt in opts]
     for reports in learn_batch(spec, groups, config, seeds=[5000 + j for j in range(10)]):
+        assert not isinstance(reports, Exception), reports
         medians.append(float(np.median([r.err01 for r in reports])))
     elapsed = time.perf_counter() - start
     assert all(a <= b + 1e-12 for a, b in zip(medians, medians[1:])), medians
@@ -202,7 +203,8 @@ def _compare_cell(spec, opt, seeds, grid, t_cap, holdout_k=2000.0, holdout_cap=2
         eval_size=200_000,
         candidate_stride=250,
     )
-    reports = learn_batch(spec, [(model, opt)], config, seeds)[0]
+    [reports] = learn_batch(spec, [(model, opt)], config, seeds)
+    assert not isinstance(reports, Exception), reports
     sigmoid_angle = float(np.median([r.angle_to_wstar for r in reports]))
     return sigmoid_angle, convex_angle
 

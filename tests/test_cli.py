@@ -6,10 +6,11 @@ import sys
 import warnings
 from concurrent.futures import Future
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from halfspace_sgd import cli
+from halfspace_sgd import cli, learner
 from halfspace_sgd.cli import main, parse_config
 
 
@@ -164,14 +165,17 @@ def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flag
     assert not out.exists()
 
 
-def test_run_groups_caps_workers_and_marks_failures(tmp_path, monkeypatch):
-    started = []
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """learner.map_jobs on a FakePool, with three usable CPUs. The record
+    holds each pool's max_workers (started) and each submitted function's
+    name (submitted); FakePool runs every submission at once, in this
+    thread, so a pool started inside a job is recorded after its caller's."""
+    record = SimpleNamespace(started=[], submitted=[])
 
     class FakePool:
-        """Records max_workers and runs each submission at once, in this thread."""
-
         def __init__(self, max_workers):
-            started.append(max_workers)
+            record.started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -180,6 +184,7 @@ def test_run_groups_caps_workers_and_marks_failures(tmp_path, monkeypatch):
             return False
 
         def submit(self, fn, arg):
+            record.submitted.append(getattr(fn, "func", fn).__name__)
             fut = Future()
             try:
                 fut.set_result(fn(arg))
@@ -187,17 +192,23 @@ def test_run_groups_caps_workers_and_marks_failures(tmp_path, monkeypatch):
                 fut.set_exception(exc)
             return fut
 
+    monkeypatch.setattr(learner, "ThreadPoolExecutor", FakePool)
+    monkeypatch.setattr(learner.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    return record
+
+
+def test_run_groups_caps_workers_and_marks_failures(tmp_path, monkeypatch, fake_pool):
+    started = fake_pool.started
+
     def worker(g):
         if g == 1:
             raise RuntimeError("boom")
         return [[g, "ok"]]
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", FakePool)
-    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     # (workers, groups) -> pool sizes started: min(workers, groups, usable CPUs), none when 1
     for workers, n_groups, pools in [(8, 2, [2]), (8, 5, [3]), (2, 5, [2]), (1, 5, []), (8, 1, [])]:
         started.clear()
-        rows, failed = cli._collect(cli._map_groups(worker, list(range(n_groups)), workers), 2)
+        rows, failed = cli._collect(learner.map_jobs(worker, list(range(n_groups)), workers), 2)
         assert started == pools
         assert failed == (n_groups > 1)
         assert [r[0] for r in rows] == [0, "FAILED", 2, 3, 4][:n_groups]
@@ -214,6 +225,26 @@ def test_run_groups_caps_workers_and_marks_failures(tmp_path, monkeypatch):
         assert len(_rows(tmp_path / "o.csv")) == 1 + 6
 
 
+def test_compare_workers_match_serial(tmp_path):
+    # with two or more CPUs the default runs the one opt's two seed jobs on threads
+    cfg = _write(tmp_path / "c.txt", TINY_COMPARE)
+    out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert main(["compare", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("lines, workers, pools, jobs", [
+    (["seeds = 3"], "3", [3], ["_seed_reports"] * 3),  # one opt: its batch gets every worker
+    (["opt_list = 0.02, 0.05", "seeds = 3"], "2", [2], ["_compare_group"] * 2),  # opts on threads, batches serial
+], ids=["one-opt-3-seeds", "two-opts"])
+def test_compare_runs_one_level_of_threads(tmp_path, fake_pool, lines, workers, pools, jobs):
+    cfg = _write(tmp_path / "c.txt", _with(TINY_COMPARE, *lines))
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--workers", workers]) == 0
+    assert fake_pool.started == pools
+    assert fake_pool.submitted == jobs
+
+
 def test_cli_import_does_not_load_multiprocessing():
     # the group pool is threads; importing multiprocessing would add to every start-up
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -223,8 +254,6 @@ def test_cli_import_does_not_load_multiprocessing():
 
 
 def test_learn_failures_mark_their_groups(tmp_path, monkeypatch):
-    from halfspace_sgd import learner
-
     cfg = _write(tmp_path / "c.txt", TINY_LEARN.replace("opt_list = 0.02", "opt_list = 0.02, 0.05"))
     select = learner._Trial.select
 

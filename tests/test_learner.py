@@ -168,7 +168,7 @@ def test_select_best_tie_breaks_by_grid_then_iterate_order():
 def test_run_for_sigma_full_list_length():
     spec = dist.gaussian(3)
     model = clean_labels(unit_vector(3, 1))
-    out = psgd_lockstep([NoisyExampleStream(spec, model, seed=12)], [PsgdConfig(T=500, sigma=0.2)])
+    out = psgd_lockstep([NoisyExampleStream(spec, [model], seed=12)], [PsgdConfig(T=500, sigma=0.2)])
     assert out.kept.shape == (1, 500, 3)
     assert out.kept_steps.tolist() == list(range(1, 501))
 
@@ -177,7 +177,7 @@ def test_run_for_sigma_reaches_low_error_on_clean_data():
     spec = dist.gaussian(5)
     w_star = unit_vector(5, 1)
     model = clean_labels(w_star)
-    out = psgd_lockstep([NoisyExampleStream(spec, model, seed=13)], [PsgdConfig(T=30_000, sigma=0.1)])
+    out = psgd_lockstep([NoisyExampleStream(spec, [model], seed=13)], [PsgdConfig(T=30_000, sigma=0.1)])
     holdout = make_dataset(spec, model, 20_000, seed=14)
     errs = zero_one_errors(out.kept[0][::50], holdout) / len(holdout)
     assert float(np.min(errs)) <= 0.02
@@ -230,6 +230,76 @@ def test_multi_group_batch_matches_solo_group():
         _check_groups_match_solo(family, opts, holdout_size)
 
 
+def _fields(report) -> dict:
+    """A TrialReport's fields, wall_ms aside."""
+    out = dataclasses.asdict(report)
+    del out["wall_ms"]
+    return out
+
+
+def _two_groups(spec):
+    """Two far-flip (model, opt) groups and a small config for them."""
+    w_star = unit_vector(spec.dim, 1)
+    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt) for opt in (0.02, 0.05)]
+    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, holdout_size=5_000, eval_size=5_000, candidate_stride=100)
+    return groups, cfg
+
+
+def _select_fails_at(opt, monkeypatch):
+    """Make _Trial.select raise for the trials of one opt_target."""
+    select = learner._Trial.select
+
+    def select_or_fail(trial, *args):
+        if trial.opt_target == opt:
+            raise RuntimeError("select boom")
+        return select(trial, *args)
+
+    monkeypatch.setattr(learner._Trial, "select", select_or_fail)
+
+
+def _psgd_fails(monkeypatch) -> Exception:
+    boom = RuntimeError("psgd boom")
+
+    def psgd_fails(*args, **kwargs):
+        raise boom
+
+    monkeypatch.setattr(learner, "psgd_lockstep", psgd_fails)
+    return boom
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_group_step_failure_fails_that_group_alone(monkeypatch, workers):
+    # the failed group's entry is its exception; the other group's reports
+    # equal its solo run's, at either worker count
+    spec = dist.gaussian(3)
+    groups, cfg = _two_groups(spec)
+    seeds = [5, 6]
+    solo = learn_batch(spec, groups[:1], cfg, seeds)[0]
+    _select_fails_at(0.05, monkeypatch)
+    reports, failure = learn_batch(spec, groups, cfg, seeds, workers=workers)
+    assert isinstance(failure, RuntimeError) and str(failure) == "select boom"
+    assert [_fields(r) for r in reports] == [_fields(r) for r in solo]
+
+
+def test_psgd_failure_fills_every_entry(monkeypatch):
+    spec = dist.gaussian(3)
+    groups, cfg = _two_groups(spec)
+    boom = _psgd_fails(monkeypatch)
+    assert learn_batch(spec, groups, cfg, [5, 6]) == [boom, boom]
+
+
+@pytest.mark.parametrize("fail", ["select", "psgd"])
+def test_learn_reraises_its_failure(monkeypatch, fail):
+    spec = dist.gaussian(3)
+    [(model, opt), _], cfg = _two_groups(spec)
+    if fail == "select":
+        _select_fails_at(opt, monkeypatch)
+    else:
+        _psgd_fails(monkeypatch)
+    with pytest.raises(RuntimeError, match=f"{fail} boom"):
+        learn(spec, model, cfg, seed=5, opt_target=opt)
+
+
 def _check_groups_match_solo(family, opts, holdout_size):
     spec = dist.gaussian(3) if family == "gaussian" else dist.heavy_tailed(3.0)
     w_star = unit_vector(spec.dim, 1)
@@ -237,17 +307,11 @@ def _check_groups_match_solo(family, opts, holdout_size):
     cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, holdout_size=holdout_size, eval_size=5_000,
                         candidate_stride=100)
     seeds = [5, 6]
-
-    def fields(report):
-        out = dataclasses.asdict(report)
-        del out["wall_ms"]
-        return out
-
     batch = learn_batch(spec, groups, cfg, seeds)
     assert len(batch) == len(groups)
     for group, reports in zip(groups, batch):
         solo = learn_batch(spec, [group], cfg, seeds)[0]
-        assert [fields(r) for r in reports] == [fields(r) for r in solo]
+        assert [_fields(r) for r in reports] == [_fields(r) for r in solo]
     assert [[r.opt_target for r in reports] for reports in batch] == [[opt, opt] for opt in opts]
 
 

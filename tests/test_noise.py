@@ -167,8 +167,8 @@ def test_clean_labels_flip_nothing_in_datasets_and_streams(d):
     ds = make_dataset(spec, model, 20_000, seed=3)
     assert not ds.flipped.any()
     np.testing.assert_array_equal(ds.y, halfspace_labels(w, ds.x))
-    X, y = NoisyExampleStream(spec, model, seed=4).take(20_000)
-    np.testing.assert_array_equal(y, halfspace_labels(w, X))
+    X, y = NoisyExampleStream(spec, [model], seed=4).take(20_000)
+    np.testing.assert_array_equal(y[:, 0], halfspace_labels(w, X))
 
 
 def test_make_dataset_noise_rate_matches_sector_mass():

@@ -45,7 +45,7 @@ def test_beta_zero_keeps_e1():
 
 def test_iterates_unit_norm_and_length():
     spec = dist.gaussian(4)
-    stream = NoisyExampleStream(spec, clean_labels(unit_vector(4, 1)), seed=3)
+    stream = NoisyExampleStream(spec, [clean_labels(unit_vector(4, 1))], seed=3)
     out = _solo(stream, PsgdConfig(T=3000, sigma=0.2))
     assert len(out) == 3000
     norms = np.linalg.norm(out, axis=1)
@@ -55,10 +55,10 @@ def test_iterates_unit_norm_and_length():
 def test_run_deterministic_per_seed():
     spec = dist.gaussian(3)
     model = clean_labels(unit_vector(3, 1))
-    a = _solo(NoisyExampleStream(spec, model, seed=11), PsgdConfig(T=500, sigma=0.2))
-    b = _solo(NoisyExampleStream(spec, model, seed=11), PsgdConfig(T=500, sigma=0.2))
+    a = _solo(NoisyExampleStream(spec, [model], seed=11), PsgdConfig(T=500, sigma=0.2))
+    b = _solo(NoisyExampleStream(spec, [model], seed=11), PsgdConfig(T=500, sigma=0.2))
     np.testing.assert_array_equal(a, b)
-    c = _solo(NoisyExampleStream(spec, model, seed=12), PsgdConfig(T=500, sigma=0.2))
+    c = _solo(NoisyExampleStream(spec, [model], seed=12), PsgdConfig(T=500, sigma=0.2))
     assert not np.array_equal(a, c)
 
 
@@ -74,10 +74,10 @@ def test_lockstep_rows_match_solo_runs():
     configs = [PsgdConfig(T=400, sigma=s) for s in (0.1, 0.25, 0.5)]
     for spec in (dist.gaussian(3), dist.log_concave(), dist.heavy_tailed(2.5)):
         model = far_flip(unit_vector(spec.dim, 1), Z=2.0, theta2=0.2)
-        streams = [NoisyExampleStream(spec, model, seed) for seed in seeds]
+        streams = [NoisyExampleStream(spec, [model], seed) for seed in seeds]
         out = psgd_lockstep(streams, configs, keep_every=1)
         for i, (seed, c) in enumerate(zip(seeds, configs)):
-            solo = _solo(NoisyExampleStream(spec, model, seed), c)
+            solo = _solo(NoisyExampleStream(spec, [model], seed), c)
             np.testing.assert_array_equal(out.kept[i], solo)
 
 
@@ -96,7 +96,7 @@ def test_fused_step_matches_gradient_reference(spec):
     configs = [PsgdConfig(T=T, sigma=s) for s in _WIDTHS] + [PsgdConfig(T=T, sigma=0.1, rho=0.0)]
 
     def streams():
-        return [NoisyExampleStream(spec, model, seed=70 + i) for i in range(len(configs))]
+        return [NoisyExampleStream(spec, [model], seed=70 + i) for i in range(len(configs))]
 
     kept = psgd_lockstep(streams(), configs, keep_every=1).kept
     ref = reference_psgd(streams(), configs)
@@ -148,10 +148,10 @@ def test_steps_past_cosh_overflow_raise_no_warning():
 
 def test_lockstep_strides_and_final():
     spec = dist.gaussian(2)
-    stream = NoisyExampleStream(spec, clean_labels(unit_vector(2, 1)), seed=1)
+    stream = NoisyExampleStream(spec, [clean_labels(unit_vector(2, 1))], seed=1)
     out = psgd_lockstep([stream], [PsgdConfig(T=1005, sigma=0.2)], keep_every=100)
     assert out.kept_steps.tolist() == [100, 200, 300, 400, 500, 600, 700, 800, 900, 1000, 1005]
-    full = _solo(NoisyExampleStream(spec, clean_labels(unit_vector(2, 1)), seed=1),
+    full = _solo(NoisyExampleStream(spec, [clean_labels(unit_vector(2, 1))], seed=1),
                  PsgdConfig(T=1005, sigma=0.2))
     np.testing.assert_array_equal(out.kept[0], full[out.kept_steps - 1])
     np.testing.assert_array_equal(out.kept[0][-1], full[-1])
@@ -159,7 +159,7 @@ def test_lockstep_strides_and_final():
 
 def test_lockstep_validates_configs():
     spec = dist.gaussian(2)
-    streams = [NoisyExampleStream(spec, clean_labels(unit_vector(2, 1)), seed=s) for s in (1, 2)]
+    streams = [NoisyExampleStream(spec, [clean_labels(unit_vector(2, 1))], seed=s) for s in (1, 2)]
     with pytest.raises(ValueError):
         psgd_lockstep(streams, [PsgdConfig(T=10, sigma=0.1)], keep_every=1)
     with pytest.raises(ValueError):
@@ -172,7 +172,7 @@ def test_clean_gaussian_run_converges_to_wstar():
     spec = dist.gaussian(5)
     w_star = unit_vector(5, 1)
     model = clean_labels(w_star)
-    stream = NoisyExampleStream(spec, model, seed=42)
+    stream = NoisyExampleStream(spec, [model], seed=42)
     out = psgd_lockstep([stream], [PsgdConfig(T=100_000, sigma=0.1)], keep_every=200)
     holdout = make_dataset(spec, model, 100_000, seed=43)
     errs = zero_one_errors(out.kept[0], holdout)
@@ -244,7 +244,7 @@ def test_stationarity_diagnostic_cone():
     batch = 40_000
     failures = 0
     for seed in range(10):
-        stream = NoisyExampleStream(spec, model, seed=100 + seed)
+        stream = NoisyExampleStream(spec, [model], seed=100 + seed)
         out = psgd_lockstep([stream], [PsgdConfig(T=20_000, sigma=sigma)], keep_every=500)
         dataset = make_dataset(spec, model, batch, seed=200 + seed)
         norms = batch_grad_norms(out.kept[0], dataset, sigma, batch)
