@@ -302,20 +302,30 @@ def _convex_fits(spec, model, losses, conv_n, conv_seed, gtol) -> list[tuple]:
 
 
 def _compare_run(groups, workers: int) -> list:
-    """The opt groups on outer = min(workers, groups) threads, each group's
-    seeds on max(1, workers // outer): never more than `workers` threads."""
+    """The opt groups on outer = min(workers, groups) threads, each group
+    given max(1, workers // outer) workers (see _compare_group)."""
     outer = min(workers, len(groups))
     return map_jobs(partial(_compare_group, workers=max(1, workers // outer)), groups, outer)
 
 
+def _call(job):
+    return job()
+
+
 def _compare_group(args, workers: int) -> list[list]:
-    """One opt's rows: its convex fits, then its seeds in one learn_batch on
-    `workers` threads; raises the batch's failure, so the group gets a FAILED row."""
+    """One opt's rows: its convex fits (_convex_fits) as one job and its seeds
+    in one learn_batch as another, on map_jobs. With workers >= 2 the fits
+    run on one thread of their own beside the batch, whose GIL-bound
+    lockstep leaves a core idle, and the batch keeps all `workers` for its
+    seed reports; with one worker the fits run first, then the batch. A
+    failure of either raises, so the group gets a FAILED row."""
     spec, model, lc, losses, opt, floor, seeds, conv_n, conv_seed, gtol = args
-    convex = _convex_fits(spec, model, losses, conv_n, conv_seed, gtol)
-    [reports] = learn_batch(spec, [(model, opt)], lc, seeds, workers)
-    if isinstance(reports, Exception):
-        raise reports
+    convex, batch = map_jobs(_call, [partial(_convex_fits, spec, model, losses, conv_n, conv_seed, gtol),
+                                     partial(learn_batch, spec, [(model, opt)], lc, seeds, workers)], workers)
+    [reports] = batch if isinstance(batch, list) else [batch]
+    for out in (convex, reports):
+        if isinstance(out, Exception):
+            raise out
     return [[spec.family, opt, kind, rep.seed, rep.angle_to_wstar, rep.err01, rep.sigma_best,
              c_angle, c_gnorm, floor] for kind, c_angle, c_gnorm in convex for rep in reports]
 
@@ -374,10 +384,12 @@ def _collect(outcomes, header_width: int):
 def _build_groups(command: str, cfg: dict, timing: bool):
     """(CSV header, run) for a command, with run(workers) -> one outcome per
     group for _collect: its rows, or the exception that failed it (see
-    learner.map_jobs); each command runs one level of threads, at most
-    `workers` of them. Every spec, noise model, LearnerConfig and scan input
-    is built here, so a value that passes its _SCHEMAS check but not a
-    constructor's raises ValueError before any group runs."""
+    learner.map_jobs). learn, sweep and lowerbound run one level of
+    threads, at most `workers` of them; compare adds one thread per group
+    for its convex fits (_compare_group). Every spec, noise model,
+    LearnerConfig and scan input is built here, so a value that passes its
+    _SCHEMAS check but not a constructor's raises ValueError before any
+    group runs."""
     if command == "lowerbound":
         return _LOWERBOUND_HEADER, partial(map_jobs, _lowerbound_group, _lowerbound_groups(cfg))
     seeds = [cfg["seed_base"] + j for j in range(cfg["seeds"])]

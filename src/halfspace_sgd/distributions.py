@@ -53,6 +53,7 @@ __all__ = [
     "solve_isotropic_params",
     "sample",
     "SampleStream",
+    "block_rows",
     "radial_density",
     "radial_tail_mass",
     "truncated_first_moment",
@@ -65,6 +66,8 @@ __all__ = [
 _C_LC = 2.0 * math.sqrt(3.0)  # exponential decay rate of the log-concave family
 
 FAMILIES = ("gaussian", "logconcave", "heavy_tailed")
+
+BLOCK_BYTES = 1 << 20  # float64 bytes of points per row block: 65,536 rows at d = 2
 
 
 @dataclass(frozen=True)
@@ -326,6 +329,13 @@ def z_for_tail_mass(spec: DistributionSpec, p: float) -> float:
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
+
+def block_rows(d: int) -> int:
+    """Rows of d float64 coordinates in BLOCK_BYTES, at least one: the row
+    block in which the package draws, labels, scores and sums point sets, so
+    that no pass over a set holds a temporary of the set's length."""
+    return max(1, BLOCK_BYTES // (8 * d))
+
 
 def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. points; deterministic given (spec, seed) and bitwise

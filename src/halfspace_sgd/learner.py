@@ -62,7 +62,6 @@ __all__ = [
 DEFAULT_GRID = (0.32, 0.16, 0.08, 0.04, 0.02)
 _GRAD_DIAG_BATCH = 2_000  # holdout examples behind each per-width gradient-norm diagnostic
 _SCORE_ROWS = 2_048       # examples per scored slice, at most; holds the diagnostic batch
-_BLOCK_BYTES = 1 << 20    # float64 bytes of points per drawn block: 65,536 rows at d = 2
 _SCORE_COLS = 256         # candidates per scored slice
 _SCORE_PAIRS = 131_072    # scores per scored slice: 1 MiB of float64, 512 rows at 256 candidates
 
@@ -259,10 +258,10 @@ def learn_batch(spec, groups, config: LearnerConfig, seeds, workers: int = 1) ->
 
 
 def _point_blocks(spec, n: int, seed: int):
-    """sample(spec, n, seed) as consecutive blocks of _BLOCK_BYTES of points,
-    but at least _SCORE_ROWS rows each; the last block may be shorter."""
+    """sample(spec, n, seed) as consecutive blocks of dist.block_rows, but at
+    least _SCORE_ROWS rows each; the last block may be shorter."""
     points = dist.SampleStream(spec, seed)
-    rows = max(_SCORE_ROWS, _BLOCK_BYTES // (8 * spec.dim))
+    rows = max(_SCORE_ROWS, dist.block_rows(spec.dim))
     for lo in range(0, n, rows):
         yield points.take(min(rows, n - lo))
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import SampleStream, sample
+from .distributions import SampleStream, block_rows
 from .geometry import project_to_sphere, rotate2d
 
 __all__ = [
@@ -120,9 +120,12 @@ class LabeledDataset:
     def __post_init__(self):
         if not (len(self.x) == len(self.y) == len(self.flipped)):
             raise ValueError("fields must have equal length")
-        if len(self.y) and not np.all(np.abs(self.y) == 1.0):
+        # every row is checked, a row block at a time: no temporary of the set's length
+        rows = block_rows(self.x.shape[1])
+        blocks = [slice(lo, lo + rows) for lo in range(0, len(self), rows)]
+        if not all(np.all(np.abs(self.y[b]) == 1.0) for b in blocks):
             raise ValueError("labels must be exactly +/-1")
-        if not np.all(np.isfinite(self.x)):
+        if not all(np.all(np.isfinite(self.x[b])) for b in blocks):
             raise ValueError("points must be finite in every coordinate")
 
     def __len__(self) -> int:
@@ -135,10 +138,22 @@ def _check_dims(spec, model: NoiseModel) -> None:
 
 
 def make_dataset(spec, model: NoiseModel, n: int, seed: int) -> LabeledDataset:
-    """n sampled points labeled by corrupt_labels; deterministic per seed."""
+    """n sampled points labeled by corrupt_labels; deterministic per seed and
+    bitwise equal to sample(spec, n, seed) and its corrupt_labels.
+
+    The points are drawn and labeled a row block (distributions.block_rows)
+    at a time, straight into the output arrays, so the peak memory is the
+    dataset plus about one block's temporaries."""
     _check_dims(spec, model)
-    X = sample(spec, n, seed)
-    return LabeledDataset(X, *corrupt_labels(model, X))
+    if n < 1:
+        raise ValueError("need n >= 1 samples")
+    x, y, flipped = np.empty((n, spec.dim)), np.empty(n), np.empty(n, dtype=bool)
+    points, rows = SampleStream(spec, seed), block_rows(spec.dim)
+    for lo in range(0, n, rows):
+        b = slice(lo, min(n, lo + rows))
+        x[b] = points.take(b.stop - lo)
+        y[b], flipped[b] = corrupt_labels(model, x[b])
+    return LabeledDataset(x, y, flipped)
 
 
 class NoisyExampleStream:

@@ -325,56 +325,73 @@ def radial_cdf(spec, r):
     return 1.0 - dist.radial_tail_mass(spec, r)
 
 
-def convex_loss_mean(w, X, y, surrogate) -> float:
-    """Empirical mean of l(-y <x, w>) over a dataset; the margin is NOT
-    normalized by ||w||."""
-    t = -np.asarray(y, dtype=float) * (np.asarray(X, dtype=float) @ np.asarray(w, dtype=float))
-    return float(np.mean(surrogate.value(t)))
-
-
-def convex_grad_mean(w, X, y, surrogate) -> np.ndarray:
-    """Empirical mean of -y x l'(-y <x, w>) over a dataset."""
+def _margin_blocks(w, X, y, rows):
+    """(rows of X, their labels, their margins -y <x, w>) for each block of
+    `rows` rows; one block of every row when rows is None."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    t = -y * (X @ np.asarray(w, dtype=float))
-    return ((-y * surrogate.slope(t)) @ X) / X.shape[0]
+    rows = rows or max(1, X.shape[0])
+    for lo in range(0, X.shape[0], rows):
+        Xb, yb = X[lo : lo + rows], y[lo : lo + rows]
+        yield Xb, yb, -yb * (Xb @ np.asarray(w, dtype=float))
 
 
-def convex_hessian_mean(w, X, y, surrogate) -> np.ndarray:
-    """Mean of l''(-y <x, w>) x x^T for the smooth losses, one weighted
-    column product per row of the d x d result."""
-    t = -y * (X @ w)
-    if surrogate.kind == "logistic":
-        p = surrogate.slope(t)
-        curve = p * (1.0 - p)
-    else:  # squared_hinge: l'' = 2 on the active set
-        curve = 2.0 * (t >= -1.0)
-    return np.stack([(X[:, i] * curve) @ X for i in range(X.shape[1])]) / X.shape[0]
+def convex_loss_mean(w, X, y, surrogate, rows=None) -> float:
+    """Empirical mean of l(-y <x, w>) over a dataset, its block sums added
+    in block order; the margin is NOT normalized by ||w||."""
+    total = 0.0
+    for _, _, t in _margin_blocks(w, X, y, rows):
+        total += float(np.sum(surrogate.value(t)))
+    return total / len(y)
 
 
-def reference_newton(loss, X, y, w0, gtol: float = 1e-6, max_iter: int = 500):
+def convex_grad_mean(w, X, y, surrogate, rows=None) -> np.ndarray:
+    """Empirical mean of -y x l'(-y <x, w>) over a dataset, its block sums
+    added in block order."""
+    g = np.zeros(np.shape(X)[1])
+    for Xb, yb, t in _margin_blocks(w, X, y, rows):
+        g += (-yb * surrogate.slope(t)) @ Xb
+    return g / len(y)
+
+
+def convex_hessian_mean(w, X, y, surrogate, rows=None) -> np.ndarray:
+    """Mean of l''(-y <x, w>) x x^T for the smooth losses, its block sums
+    added in block order."""
+    H = np.zeros((np.shape(X)[1],) * 2)
+    for Xb, _, t in _margin_blocks(w, X, y, rows):
+        if surrogate.kind == "logistic":
+            p = surrogate.slope(t)
+            curve = p * (1.0 - p)
+        else:  # squared_hinge: l'' = 2 on the active set
+            curve = 2.0 * (t >= -1.0)
+        H += Xb.T @ (Xb * curve[:, None])
+    return H / len(y)
+
+
+def reference_newton(loss, X, y, w0, gtol: float = 1e-6, max_iter: int = 500, rows=None):
     """(w, grad_norm, iterations) of damped Newton with Armijo backtracking,
     each quantity recomputed from w by the oracles above (a margin pass per
-    gradient, Hessian, objective and try); the reference for the Newton
-    branch of baselines.full_batch_minimize."""
+    gradient, Hessian, objective and try), over blocks of `rows` rows (all
+    rows at once when None); with baselines' row blocks, the reference for
+    the Newton branch of baselines.full_batch_minimize."""
     d = X.shape[1]
     w = np.asarray(w0, dtype=float).copy()
-    g = convex_grad_mean(w, X, y, loss)
+    g = convex_grad_mean(w, X, y, loss, rows)
     for it in range(max_iter):
         gnorm = float(np.linalg.norm(g))
         if gnorm <= gtol:
             return w, gnorm, it
-        H = convex_hessian_mean(w, X, y, loss) + 1e-12 * np.eye(d)
+        H = convex_hessian_mean(w, X, y, loss, rows) + 1e-12 * np.eye(d)
         step = np.linalg.solve(H, g)
-        f0 = convex_loss_mean(w, X, y, loss)
+        f0 = convex_loss_mean(w, X, y, loss, rows)
         decrement = float(g @ step)
         alpha = 1.0
         while alpha > 1e-14:
-            if convex_loss_mean(w - alpha * step, X, y, loss) <= f0 - 1e-4 * alpha * decrement:
+            if convex_loss_mean(w - alpha * step, X, y, loss, rows) <= f0 - 1e-4 * alpha * decrement:
                 break
             alpha *= 0.5
         w = w - alpha * step
-        g = convex_grad_mean(w, X, y, loss)
+        g = convex_grad_mean(w, X, y, loss, rows)
     return w, float(np.linalg.norm(g)), max_iter
 
 

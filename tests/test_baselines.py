@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,23 +40,70 @@ def test_newton_heavy_tail_logistic():
 @pytest.mark.parametrize("max_iter", [1, 2, 500])
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
 def test_newton_margins_track_the_iterate(kind, max_iter):
-    # Newton reuses the accepted try's margins for the next gradient, Hessian
-    # and objective; the reported norm must be that of the gradient
-    # recomputed at the returned w, and the run must equal the reference
-    # that recomputes every margin pass, bitwise (max_iter = 500 converges).
-    # From w0 = (5, -5) the logistic runs reject Armijo tries on the way.
+    # Newton recomputes each row block's margins from w in every pass; the
+    # reported norm must be that of the gradient recomputed at the returned
+    # w, and the run must equal the reference that recomputes every pass
+    # over the same row blocks, bitwise (max_iter = 500 converges). From
+    # w0 = (5, -5) the logistic runs reject Armijo tries on the way.
     loss = convex_surrogate(kind)
-    ds = _noisy_dataset(dist.heavy_tailed(3.0), 0.01, 100_000, seed=8)
+    rows = dist.block_rows(2)
+    ds = _noisy_dataset(dist.heavy_tailed(3.0), 0.01, 100_000, seed=8)  # two blocks, the last one short
     w0 = np.array([5.0, -5.0])
     w, gnorm, iters = full_batch_minimize(loss, ds.x, ds.y, w0=w0, max_iter=max_iter)
-    assert gnorm == float(np.linalg.norm(convex_grad_mean(w, ds.x, ds.y, loss)))
+    assert gnorm == float(np.linalg.norm(convex_grad_mean(w, ds.x, ds.y, loss, rows)))
     if max_iter < 500:
         assert iters == max_iter
     else:
         assert gnorm <= 1e-6 and iters < max_iter
-    w_ref, gnorm_ref, iters_ref = reference_newton(loss, ds.x, ds.y, w0, max_iter=max_iter)
+    w_ref, gnorm_ref, iters_ref = reference_newton(loss, ds.x, ds.y, w0, max_iter=max_iter, rows=rows)
     np.testing.assert_array_equal(w, w_ref)
     assert (gnorm, iters) == (gnorm_ref, iters_ref)
+
+
+@pytest.fixture(scope="module")
+def three_block_dataset():
+    return _noisy_dataset(dist.heavy_tailed(3.0), 0.01, 2 * dist.block_rows(2) + 1, seed=9)
+
+
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["1", "block-1", "block", "block+1", "2block+1"])
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_newton_row_blocks_match_the_whole_set(three_block_dataset, kind, blocks, extra):
+    # At every block boundary the blocked run equals the blocked reference
+    # bitwise, and the unblocked full-array reference to rounding: the same
+    # iteration count and w within 1e-12 relative.
+    rows = dist.block_rows(2)
+    n = blocks * rows + extra
+    X, y = three_block_dataset.x[:n], three_block_dataset.y[:n]
+    loss = convex_surrogate(kind)
+    w0 = np.array([5.0, -5.0])
+    w, gnorm, iters = full_batch_minimize(loss, X, y, w0=w0)
+    w_ref, gnorm_ref, iters_ref = reference_newton(loss, X, y, w0, rows=rows)
+    np.testing.assert_array_equal(w, w_ref)
+    assert (gnorm, iters) == (gnorm_ref, iters_ref)
+    assert gnorm <= 1e-6
+    w_full, _, iters_full = reference_newton(loss, X, y, w0)
+    assert iters == iters_full
+    assert np.linalg.norm(w - w_full) <= 1e-12 * np.linalg.norm(w_full)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_newton_memory_does_not_grow_with_n(kind):
+    # the traced peak of a fit is a few row blocks' temporaries, the same at
+    # 2 and at 8 blocks of data, far below the 8 MiB of X at 8 blocks
+    loss = convex_surrogate(kind)
+    ds = _noisy_dataset(dist.heavy_tailed(3.0), 0.01, 8 * dist.block_rows(2), seed=10)
+    peaks = []
+    for blocks in (2, 8):
+        X, y = ds.x[: blocks * dist.block_rows(2)], ds.y[: blocks * dist.block_rows(2)]
+        tracemalloc.start()
+        try:
+            full_batch_minimize(loss, X, y, w0=E2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 4 * dist.BLOCK_BYTES
+    assert peaks[1] <= peaks[0] + dist.BLOCK_BYTES // 8
 
 
 def test_minimize_deterministic():

@@ -168,9 +168,11 @@ def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flag
 @pytest.fixture
 def fake_pool(monkeypatch):
     """learner.map_jobs on a FakePool, with three usable CPUs. The record
-    holds each pool's max_workers (started) and each submitted function's
-    name (submitted); FakePool runs every submission at once, in this
-    thread, so a pool started inside a job is recorded after its caller's."""
+    holds each pool's max_workers (started) and each submission's name
+    (submitted): the mapped function's, or for a job that is itself a call
+    (a partial), the function it calls. FakePool runs every submission at
+    once, in this thread, so a pool started inside a job is recorded after
+    its caller's."""
     record = SimpleNamespace(started=[], submitted=[])
 
     class FakePool:
@@ -184,7 +186,7 @@ def fake_pool(monkeypatch):
             return False
 
         def submit(self, fn, arg):
-            record.submitted.append(getattr(fn, "func", fn).__name__)
+            record.submitted.append(getattr(arg if callable(arg) else fn, "func", fn).__name__)
             fut = Future()
             try:
                 fut.set_result(fn(arg))
@@ -234,8 +236,45 @@ def test_compare_workers_match_serial(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_compare_one_seed_fit_beside_its_batch_matches_serial(tmp_path, monkeypatch):
+    # one opt, one seed: at --workers 2 the convex fit runs on its own thread
+    # beside the batch, at --workers 1 before it; the CSVs are the same bytes
+    monkeypatch.setattr(learner.os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = _write(tmp_path / "c.txt", _with(TINY_COMPARE, "seeds = 1"))
+    out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert main(["compare", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
+    assert main(["compare", "--config", cfg, "--out", str(out2), "--workers", "2"]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("failing", ["full_batch_minimize", "learn_batch"])
+def test_compare_fit_or_batch_failure_fails_its_group(tmp_path, monkeypatch, failing):
+    # the fit and the batch run on two threads; whichever raises, the other
+    # runs to its end, the group gets its FAILED row and the run exits 1
+    monkeypatch.setattr(learner.os, "sched_getaffinity", lambda pid: {0, 1})
+    other = "learn_batch" if failing == "full_batch_minimize" else "full_batch_minimize"
+    finished = []
+
+    def fails(*args, **kwargs):
+        raise RuntimeError(f"{failing} boom")
+
+    def runs(*args, fn=getattr(cli, other), **kwargs):
+        out = fn(*args, **kwargs)
+        finished.append(other)
+        return out
+
+    monkeypatch.setattr(cli, failing, fails)
+    monkeypatch.setattr(cli, other, runs)
+    cfg = _write(tmp_path / "c.txt", _with(TINY_COMPARE, "seeds = 1"))
+    out = tmp_path / "o.csv"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--workers", "2"]) == 1
+    assert _rows(out)[1:] == [["FAILED", f"RuntimeError: {failing} boom"] + [""] * 8]
+    assert finished == [other]
+
+
 @pytest.mark.parametrize("lines, workers, pools, jobs", [
-    (["seeds = 3"], "3", [3], ["_seed_reports"] * 3),  # one opt: its batch gets every worker
+    # one opt: the fit and the batch on two threads, the batch's seeds on every worker
+    (["seeds = 3"], "3", [2, 3], ["_convex_fits", "learn_batch"] + ["_seed_reports"] * 3),
     (["opt_list = 0.02, 0.05", "seeds = 3"], "2", [2], ["_compare_group"] * 2),  # opts on threads, batches serial
 ], ids=["one-opt-3-seeds", "two-opts"])
 def test_compare_runs_one_level_of_threads(tmp_path, fake_pool, lines, workers, pools, jobs):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,36 @@ def test_make_dataset_noise_rate_matches_sector_mass():
 def test_make_dataset_dimension_mismatch():
     with pytest.raises(ValueError):
         make_dataset(dist.gaussian(3), clean_labels(E2), 10, seed=1)
+
+
+@pytest.mark.parametrize("spec", [dist.gaussian(2), dist.log_concave(), dist.heavy_tailed(3.0)],
+                         ids=lambda spec: spec.family)
+def test_make_dataset_blocks_equal_one_draw(spec):
+    # filled a row block at a time (the last block holds one row), the set
+    # equals one sample() draw and its corrupt_labels, bitwise
+    model = far_flip(E2, Z=dist.z_for_tail_mass(spec, 0.05), theta2=0.3)
+    n = 2 * dist.block_rows(2) + 1
+    ds = make_dataset(spec, model, n, seed=12)
+    X = dist.sample(spec, n, seed=12)
+    y, flipped = corrupt_labels(model, X)
+    np.testing.assert_array_equal(ds.x, X)
+    np.testing.assert_array_equal(ds.y, y)
+    np.testing.assert_array_equal(ds.flipped, flipped)
+
+
+def test_make_dataset_peak_is_its_output_plus_one_block():
+    # beyond the arrays it returns, make_dataset holds one block's draw and
+    # label temporaries (under 4 MiB), whatever n is
+    spec = dist.heavy_tailed(3.0)
+    model = far_flip(E2, Z=dist.z_for_tail_mass(spec, 0.05), theta2=0.3)
+    for blocks in (3, 8):
+        tracemalloc.start()
+        try:
+            ds = make_dataset(spec, model, blocks * dist.block_rows(2) + 1, seed=13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - (ds.x.nbytes + ds.y.nbytes + ds.flipped.nbytes) <= 4 * dist.BLOCK_BYTES
 
 
 def test_labeled_dataset_validation():
