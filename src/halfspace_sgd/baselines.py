@@ -10,12 +10,13 @@ differentiable, so it gets plain subgradient descent with a decaying step
 that returns its best iterate, the one with the smallest subgradient norm;
 callers that need a certified stationary point should use a smooth loss.
 
-Newton runs in bounded memory. Every pass over the data goes through it in
+Both run in bounded memory. Every pass over the data goes through it in
 row blocks of about 1 MiB of X (distributions.block_rows: 65,536 rows at
 d = 2) and recomputes each block's margins from w, so no array of the
 data's length lives during a fit: its temporaries are a few blocks' worth
-whatever n is. An iteration takes one pass for the gradient, the objective
-and the Hessian at w, and each Armijo try one pass for its objective.
+whatever n is. A Newton iteration takes one pass for the gradient, the
+objective and the Hessian at w, each Armijo try one pass for its objective,
+and a subgradient step one pass for its gradient.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from .distributions import block_rows
 from .losses import ConvexSurrogate
 
 __all__ = ["full_batch_minimize"]
-
-
-def _mean_grad(loss, X, y, t):
-    """Mean of -y x l'(t) over the rows, from the margins t = -y <x, w>."""
-    return ((-y * loss.slope(t)) @ X) / X.shape[0]
 
 
 def _blocks(X, y, w):
@@ -44,6 +40,11 @@ def _blocks(X, y, w):
 def _objective(loss, X, y, w) -> float:
     """Mean l(-y <x, w>) over the rows, summed block by block."""
     return sum(float(np.sum(loss.value(t))) for _, _, t in _blocks(X, y, w)) / X.shape[0]
+
+
+def _gradient(loss, X, y, w):
+    """Mean of -y x l'(t) over the rows, summed block by block."""
+    return sum(-(yb * loss.slope(t)) @ Xb for Xb, yb, t in _blocks(X, y, w)) / X.shape[0]
 
 
 def _newton_pass(loss, X, y, w):
@@ -83,7 +84,7 @@ def _subgradient(loss, X, y, w0, gtol, max_iter):
     w = np.asarray(w0, dtype=float).copy()
     best_w, best_norm = w.copy(), np.inf
     for it in range(max_iter):
-        g = _mean_grad(loss, X, y, -y * (X @ w))
+        g = _gradient(loss, X, y, w)
         gnorm = float(np.linalg.norm(g))
         if gnorm < best_norm:
             best_w, best_norm = w.copy(), gnorm

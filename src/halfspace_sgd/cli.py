@@ -26,7 +26,6 @@ import csv
 import math
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -161,12 +160,19 @@ def _make_spec(family: str, d: int, s: float):
 
 
 def _check_rows(d: int, **sizes) -> None:
-    """ValueError for a row count whose (n, d) float64 array is larger than
-    numpy can index; a count below that may still not fit in memory."""
+    """ValueError for a row count below 1 or past the largest (n, d) float64
+    array numpy can index; a count below that may still not fit in memory."""
     limit = np.iinfo(np.intp).max // (8 * d)
     for key, n in sizes.items():
+        if n < 1:
+            raise ValueError(f"{key} must be >= 1")
         if n > limit:
             raise ValueError(f"{key} = {n} rows of dimension {d} exceed the largest array numpy can index")
+
+
+def _learner_config(cfg, **kwargs) -> LearnerConfig:
+    return LearnerConfig(grid=tuple(cfg["grid"]), t_cap=cfg["t_cap"], rho=cfg["rho"], eval_size=cfg["eval_size"],
+                         candidate_stride=cfg["stride"], **kwargs)
 
 
 def _fmt(v) -> str:
@@ -207,24 +213,15 @@ _SWEEP_HEADER = [
 
 
 def _learn_groups(cfg) -> tuple:
-    """(spec, LearnerConfig, groups) for learn/sweep: one (noise model, opt)
-    group per opt."""
+    """(spec, LearnerConfig, groups) for learn/sweep: one (noise model, opt,
+    holdout size) group per opt, the size resolved here, so a default that
+    overflows is a config error."""
     spec = _make_spec(cfg["family"], cfg["d"], cfg["s"])
     w_star = unit_vector(spec.dim, 1)
-    lc = LearnerConfig(
-        epsilon=cfg["epsilon"],
-        delta=cfg["delta"],
-        grid=tuple(cfg["grid"]),
-        t_cap=cfg["t_cap"],
-        rho=cfg["rho"],
-        holdout_size=cfg["holdout_size"] or None,
-        eval_size=cfg["eval_size"],
-        candidate_stride=cfg["stride"],
-    )
-    if lc.holdout_size is None:  # resolved here, so a size that overflows is a config error
-        lc = replace(lc, holdout_size=default_holdout_size(spec.dim, lc.epsilon, lc.delta))
-    _check_rows(spec.dim, holdout_size=lc.holdout_size, eval_size=lc.eval_size)
-    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=cfg["theta2"]), opt)
+    lc = _learner_config(cfg, epsilon=cfg["epsilon"], delta=cfg["delta"])
+    holdout_size = cfg["holdout_size"] or default_holdout_size(spec.dim, lc.epsilon, lc.delta)
+    _check_rows(spec.dim, holdout_size=holdout_size, eval_size=lc.eval_size)
+    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=cfg["theta2"]), opt, holdout_size)
               for opt in cfg["opt_list"]]
     return spec, lc, groups
 
@@ -267,27 +264,25 @@ _COMPARE_HEADER = [
 ]
 
 
-def _compare_groups(cfg, seeds) -> list[tuple]:
+def _compare_groups(cfg) -> tuple:
+    """(spec, LearnerConfig, groups, fits, floors) for compare: per opt, its
+    (noise model, opt, holdout size) group, its convex fits as one call and
+    its predicted floor."""
     spec = _make_spec(cfg["family"], 2, cfg["s"])
     losses = [convex_surrogate(kind) for kind in cfg["losses"]]
     w_star = unit_vector(2, 1)
-    groups = []
+    lc = _learner_config(cfg)
+    groups, fits, floors = [], [], []
     for k, opt in enumerate(cfg["opt_list"]):
         Z = dist.z_for_tail_mass(spec, opt)
         model = far_flip(w_star, Z=Z, theta2=2.0 * admissible_theta(spec, Z))
-        lc = LearnerConfig(
-            grid=tuple(cfg["grid"]),
-            t_cap=cfg["t_cap"],
-            rho=cfg["rho"],
-            holdout_size=min(_HOLDOUT_CAP, int(math.ceil(cfg["holdout_k"] / opt))),
-            eval_size=cfg["eval_size"],
-            candidate_stride=cfg["stride"],
-        )
-        _check_rows(spec.dim, holdout_size=lc.holdout_size, eval_size=lc.eval_size, conv_n=cfg["conv_n"])
+        holdout_size = min(_HOLDOUT_CAP, int(math.ceil(cfg["holdout_k"] / opt)))
+        _check_rows(spec.dim, holdout_size=holdout_size, eval_size=lc.eval_size, conv_n=cfg["conv_n"])
+        groups.append((model, opt, holdout_size))
         conv_seed = derive_seed(cfg["seed_base"], 700, k)
-        groups.append((spec, model, lc, losses, opt, predicted_floor(spec, opt), seeds,
-                       cfg["conv_n"], conv_seed, cfg["gtol"]))
-    return groups
+        fits.append(partial(_convex_fits, spec, model, losses, cfg["conv_n"], conv_seed, cfg["gtol"]))
+        floors.append(predicted_floor(spec, opt))
+    return spec, lc, groups, fits, floors
 
 
 def _convex_fits(spec, model, losses, conv_n, conv_seed, gtol) -> list[tuple]:
@@ -301,33 +296,26 @@ def _convex_fits(spec, model, losses, conv_n, conv_seed, gtol) -> list[tuple]:
     return fits
 
 
-def _compare_run(groups, workers: int) -> list:
-    """The opt groups on outer = min(workers, groups) threads, each group
-    given max(1, workers // outer) workers (see _compare_group)."""
-    outer = min(workers, len(groups))
-    return map_jobs(partial(_compare_group, workers=max(1, workers // outer)), groups, outer)
-
-
 def _call(job):
     return job()
 
 
-def _compare_group(args, workers: int) -> list[list]:
-    """One opt's rows: its convex fits (_convex_fits) as one job and its seeds
-    in one learn_batch as another, on map_jobs. With workers >= 2 the fits
-    run on one thread of their own beside the batch, whose GIL-bound
-    lockstep leaves a core idle, and the batch keeps all `workers` for its
-    seed reports; with one worker the fits run first, then the batch. A
-    failure of either raises, so the group gets a FAILED row."""
-    spec, model, lc, losses, opt, floor, seeds, conv_n, conv_seed, gtol = args
-    convex, batch = map_jobs(_call, [partial(_convex_fits, spec, model, losses, conv_n, conv_seed, gtol),
-                                     partial(learn_batch, spec, [(model, opt)], lc, seeds, workers)], workers)
-    [reports] = batch if isinstance(batch, list) else [batch]
-    for out in (convex, reports):
-        if isinstance(out, Exception):
-            raise out
-    return [[spec.family, opt, kind, rep.seed, rep.angle_to_wstar, rep.err01, rep.sigma_best,
-             c_angle, c_gnorm, floor] for kind, c_angle, c_gnorm in convex for rep in reports]
+def _compare_run(spec, lc, groups, fits, floors, seeds, workers: int) -> list:
+    """Every opt group in one learn_batch over `workers` threads, beside one
+    job that runs the groups' convex fits one group at a time: on a thread
+    of its own, the core the batch's GIL-bound lockstep leaves idle, with
+    workers >= 2, and before the batch with one. A group whose fits or batch
+    entry is an exception gets that exception, so a FAILED row."""
+    jobs = [partial(map_jobs, _call, fits), partial(learn_batch, spec, groups, lc, seeds, workers)]
+    convex, batch = ([out] * len(groups) if isinstance(out, Exception) else out
+                     for out in map_jobs(_call, jobs, workers))
+    outcomes = []
+    for (_, opt, _), floor, fit, reports in zip(groups, floors, convex, batch):
+        failure = next((out for out in (fit, reports) if isinstance(out, Exception)), None)
+        outcomes.append(failure if failure else [
+            [spec.family, opt, kind, rep.seed, rep.angle_to_wstar, rep.err01, rep.sigma_best,
+             c_angle, c_gnorm, floor] for kind, c_angle, c_gnorm in fit for rep in reports])
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +373,16 @@ def _build_groups(command: str, cfg: dict, timing: bool):
     """(CSV header, run) for a command, with run(workers) -> one outcome per
     group for _collect: its rows, or the exception that failed it (see
     learner.map_jobs). learn, sweep and lowerbound run one level of
-    threads, at most `workers` of them; compare adds one thread per group
-    for its convex fits (_compare_group). Every spec, noise model,
-    LearnerConfig and scan input is built here, so a value that passes its
-    _SCHEMAS check but not a constructor's raises ValueError before any
-    group runs."""
+    threads, at most `workers` of them; compare, one learn_batch as learn
+    does, adds one thread for its convex fits (_compare_run). Every spec,
+    noise model, LearnerConfig, holdout size and scan input is built here,
+    so a value that passes its _SCHEMAS check but not a constructor's
+    raises ValueError before any group runs."""
     if command == "lowerbound":
         return _LOWERBOUND_HEADER, partial(map_jobs, _lowerbound_group, _lowerbound_groups(cfg))
     seeds = [cfg["seed_base"] + j for j in range(cfg["seeds"])]
     if command == "compare":
-        return _COMPARE_HEADER, partial(_compare_run, _compare_groups(cfg, seeds))
+        return _COMPARE_HEADER, partial(_compare_run, *_compare_groups(cfg), seeds)
     header = _SWEEP_HEADER if command == "sweep" else _LEARN_HEADER
     return header, partial(_learn_run, *_learn_groups(cfg), seeds, timing, command == "sweep")
 

@@ -10,14 +10,16 @@ noisy holdout by zero-one error, all of a trial's lists at once, and the
 overall argmin wins, ties broken by grid order then iterate order. The
 reported error comes from a disjoint evaluation set.
 
-The points of a trial depend on its seed alone: the noise models of one
-learn_batch call share w*, the tilt and the marginal, and differ only in
-their labels. So each seed's training streams, holdout and evaluation set
+The points of a trial depend on its seed alone: the groups of one
+learn_batch call, a (noise model, opt_target, holdout_size) each, share w*,
+the tilt and the marginal, and differ only in their labels and holdout
+sizes. So each seed's training streams, largest holdout and evaluation set
 are drawn once and labeled by corrupt_labels under every model; one report
-job per seed scores every model's trial on the same blocks. Every job of the
-package, these and the CLI's, runs on map_jobs, its one thread map, which
-puts a failed job's exception in its place; so learn_batch returns each
-group's reports or the exception that failed the group.
+job per seed scores every group's trial on the same blocks, each on its own
+prefix of the holdout. Every job of the package, these and the CLI's, runs
+on map_jobs, its one thread map, which puts a failed job's exception in its
+place; so learn_batch returns each group's reports or the exception that
+failed the group.
 
 Neither the holdout nor the evaluation set is held whole, for any family.
 Each is drawn in blocks of about 1 MiB of points from one SampleStream
@@ -78,7 +80,6 @@ class LearnerConfig:
     grid: tuple[float, ...] = DEFAULT_GRID
     t_cap: int = 200_000
     rho: float = 0.25
-    holdout_size: int | None = None   # None: default_holdout_size
     eval_size: int = 200_000
     candidate_stride: int = 400
 
@@ -94,8 +95,6 @@ class LearnerConfig:
         for name in ("t_cap", "eval_size", "candidate_stride"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.holdout_size is not None and self.holdout_size < 1:
-            raise ValueError("holdout_size must be >= 1")
 
 
 def default_holdout_size(d: int, epsilon: float, delta: float) -> int:
@@ -191,9 +190,12 @@ class TrialReport:
 
 
 def learn(spec, model: NoiseModel, config: LearnerConfig, seed: int,
-          opt_target: float = float("nan")) -> TrialReport:
-    """Grid sweep -> per-sigma candidates -> holdout selection -> report; raises its failure."""
-    [outcome] = learn_batch(spec, [(model, opt_target)], config, [seed])
+          opt_target: float = float("nan"), holdout_size: int | None = None) -> TrialReport:
+    """Grid sweep -> per-sigma candidates -> holdout selection -> report; raises its failure.
+    holdout_size None selects default_holdout_size."""
+    if holdout_size is None:
+        holdout_size = default_holdout_size(spec.dim, config.epsilon, config.delta)
+    [outcome] = learn_batch(spec, [(model, opt_target, holdout_size)], config, [seed])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome[0]
@@ -219,16 +221,18 @@ def map_jobs(fn, jobs, workers: int = 1) -> list:
 
 
 def learn_batch(spec, groups, config: LearnerConfig, seeds, workers: int = 1) -> list:
-    """learn() for every (noise model, opt_target) pair in `groups` and every
-    seed, each report identical to its solo learn() (wall_ms aside).
+    """learn() for every (noise model, opt_target, holdout_size) group in
+    `groups` and every seed, each report identical to its solo learn()
+    (wall_ms aside). ValueError, before any work, for a holdout_size < 1.
 
-    The groups of one seed differ only in their labels, so every point is
-    drawn once per seed and labeled under each group's model. PSGD: one
-    stream per (seed, sigma) serves one lockstep row per group, and all the
-    rows advance in one batch; row-local arithmetic keeps each row equal to
-    its solo run. Reports: one job per seed (_seed_reports) draws the holdout,
-    then the evaluation set, block by block and scores every group on each
-    block. The jobs run on map_jobs over `workers` threads, serially by
+    The groups of one seed differ only in their labels and holdout sizes, so
+    every point is drawn once per seed and labeled under each group's model.
+    PSGD: one stream per (seed, sigma) serves one lockstep row per group, and
+    all the rows advance in one batch; row-local arithmetic keeps each row
+    equal to its solo run. Reports: one job per seed (_seed_reports) draws
+    the largest holdout, then the evaluation set, block by block and scores
+    every group on each block, a group's holdout being its own prefix of the
+    largest. The jobs run on map_jobs over `workers` threads, serially by
     default.
 
     Returns one entry per group: its list of TrialReports, one per seed, or
@@ -241,8 +245,10 @@ def learn_batch(spec, groups, config: LearnerConfig, seeds, workers: int = 1) ->
     """
     t0 = time.perf_counter()
     groups, seeds = list(groups), list(seeds)
+    if any(n_hold < 1 for _, _, n_hold in groups):
+        raise ValueError("holdout_size must be >= 1")
     g, trials = len(config.grid), len(groups) * len(seeds)
-    models = [model for model, _ in groups]
+    models = [model for model, _, _ in groups]
     try:
         streams = [NoisyExampleStream(spec, models, derive_seed(seed, 1, i)) for seed in seeds for i in range(g)]
         configs = [PsgdConfig(T=config.t_cap, sigma=s, rho=config.rho) for s in config.grid for _ in groups]
@@ -269,14 +275,12 @@ def _point_blocks(spec, n: int, seed: int):
 def _seed_reports(job) -> list:
     """The report phase of one seed for every group. job is (spec, groups,
     config, seed, kept, shared_s), kept being (groups, grid widths, iterates,
-    d). Returns one entry per group: its TrialReport, or the exception one of
-    its _Trial steps raised; a group that failed takes no further steps."""
+    d). The holdout drawn is the largest group's. Returns one entry per
+    group: its TrialReport, or the exception one of its _Trial steps raised;
+    a group that failed takes no further steps."""
     spec, groups, config, seed, kept, shared_s = job
     t0 = time.perf_counter()
-    n_hold = config.holdout_size
-    if n_hold is None:
-        n_hold = default_holdout_size(spec.dim, config.epsilon, config.delta)
-    trials = [_Trial(model, opt_target, kept_j) for (model, opt_target), kept_j in zip(groups, kept)]
+    trials = [_Trial(*group, kept_j) for group, kept_j in zip(groups, kept)]
 
     def each(step, *args):
         for i, trial in enumerate(trials):
@@ -286,11 +290,11 @@ def _seed_reports(job) -> list:
                 except Exception as exc:
                     trials[i] = exc
 
-    blocks = _point_blocks(spec, n_hold, derive_seed(seed, 2))
+    blocks = _point_blocks(spec, max(n_hold for _, _, n_hold in groups), derive_seed(seed, 2))
     each(_Trial.diagnose, next(blocks), config)  # the first block also feeds the gradient-norm diagnostic
     for X in blocks:
         each(_Trial.score, X)
-    each(_Trial.select, config, n_hold)
+    each(_Trial.select, config)
     for X in _point_blocks(spec, config.eval_size, derive_seed(seed, 3)):
         each(_Trial.evaluate, X)
     wall_ms = (shared_s + (time.perf_counter() - t0) / len(groups)) * 1e3
@@ -300,12 +304,15 @@ def _seed_reports(job) -> list:
 class _Trial:
     """One group's report for one seed, built from the point blocks its seed
     job draws: holdout blocks (diagnose, then score), select, evaluation
-    blocks (evaluate), report. Integer error counts add up over the blocks,
-    so every rate equals the one the whole set gives."""
+    blocks (evaluate), report. Of the largest group's holdout blocks it
+    scores the first n_hold rows, bitwise its own holdout cut at the same
+    block edges. Integer error counts add up over the blocks, so every rate
+    equals the one the whole set gives."""
 
-    def __init__(self, model: NoiseModel, opt_target: float, kept: np.ndarray):
+    def __init__(self, model: NoiseModel, opt_target: float, n_hold: int, kept: np.ndarray):
         self.model = model
         self.opt_target = opt_target
+        self.n_hold = self.unscored = n_hold
         self.kept = kept  # (grid widths, iterates, d): each width's strided iterate list
         self.W = kept.reshape(-1, kept.shape[-1])
         self.wrong = np.zeros(len(self.W), dtype=np.int64)
@@ -315,21 +322,24 @@ class _Trial:
         return LabeledDataset(X, *corrupt_labels(self.model, X))
 
     def score(self, X) -> LabeledDataset:
-        block = self._label(X)
+        """Label and score the rows of holdout block X inside this trial's
+        holdout (none once it is complete)."""
+        block = self._label(X[: self.unscored])
+        self.unscored -= len(block)
         self.wrong += zero_one_errors(self.W, block)
         return block
 
     def diagnose(self, X, config: LearnerConfig) -> None:
-        """score(X), and each width's least empirical gradient norm on X's
-        first min(_GRAD_DIAG_BATCH, len(X)) examples."""
+        """score(X), and each width's least empirical gradient norm on the
+        first min(_GRAD_DIAG_BATCH, rows scored) examples of that block."""
         block = self.score(X)
         stride = max(1, self.kept.shape[1] // 50)
         batch = min(_GRAD_DIAG_BATCH, len(block))
         self.min_grads = [float(np.min(batch_grad_norms(vectors[::stride], block, sigma, batch)))
                           for sigma, vectors in zip(config.grid, self.kept)]
 
-    def select(self, config: LearnerConfig, n_hold: int) -> None:
-        errs = (self.wrong / n_hold).reshape(self.kept.shape[:2])
+    def select(self, config: LearnerConfig) -> None:
+        errs = (self.wrong / self.n_hold).reshape(self.kept.shape[:2])
         self.per_sigma = []
         for sigma, vectors, width_errs, min_grad in zip(config.grid, self.kept, errs, self.min_grads):
             ii = int(np.argmin(width_errs))

@@ -395,12 +395,13 @@ def reference_newton(loss, X, y, w0, gtol: float = 1e-6, max_iter: int = 500, ro
     return w, float(np.linalg.norm(g)), max_iter
 
 
-def reference_trial_report(spec, model, config, seed: int, kept) -> dict:
-    """The data-dependent fields of learner._trial_report, from whole
-    holdout and evaluation sets: each built by one make_dataset call and
-    scored by one zero_one_errors call, the gradient-norm diagnostic on the
-    holdout's first min(2000, n) examples."""
-    n_hold = config.holdout_size
+def reference_trial_report(spec, group, config, seed: int, kept) -> dict:
+    """The data-dependent fields of the learner's report for one (model,
+    opt_target, holdout_size) group, from whole holdout and evaluation sets:
+    each built by one make_dataset call and scored by one zero_one_errors
+    call, the gradient-norm diagnostic on the holdout's first min(2000, n)
+    examples."""
+    model, _, n_hold = group
     holdout = make_dataset(spec, model, n_hold, derive_seed(seed, 2))
     eval_ds = make_dataset(spec, model, config.eval_size, derive_seed(seed, 3))
     errs = (zero_one_errors(kept.reshape(-1, spec.dim), holdout) / n_hold).reshape(kept.shape[:2])

@@ -15,7 +15,7 @@ import pytest
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.cli import main as cli_main
 from halfspace_sgd.geometry import angle_between, halfspace_labels, unit_vector
-from halfspace_sgd.learner import LearnerConfig, learn_batch
+from halfspace_sgd.learner import LearnerConfig, default_holdout_size, learn_batch
 from halfspace_sgd.losses import convex_surrogate
 from halfspace_sgd.noise import NoisyExampleStream, far_flip, make_dataset
 from halfspace_sgd.optimizer import PsgdConfig, psgd_lockstep
@@ -149,7 +149,8 @@ def test_c5_upper_bound_scaling():
     config = LearnerConfig(epsilon=0.01, delta=0.01, t_cap=200_000)
     medians = []
     start = time.perf_counter()
-    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt) for opt in opts]
+    n_hold = default_holdout_size(10, config.epsilon, config.delta)
+    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt, n_hold) for opt in opts]
     for reports in learn_batch(spec, groups, config, seeds=[5000 + j for j in range(10)]):
         assert not isinstance(reports, Exception), reports
         medians.append(float(np.median([r.err01 for r in reports])))
@@ -195,15 +196,9 @@ def _compare_cell(spec, opt, seeds, grid, t_cap, holdout_k=2000.0, holdout_cap=2
     assert gnorm <= 1e-6
     convex_angle = angle_between(w_c / np.linalg.norm(w_c), w_star)
 
-    config = LearnerConfig(
-        grid=grid,
-        t_cap=t_cap,
-        rho=1.0,
-        holdout_size=min(holdout_cap, int(math.ceil(holdout_k / opt))),
-        eval_size=200_000,
-        candidate_stride=250,
-    )
-    [reports] = learn_batch(spec, [(model, opt)], config, seeds)
+    config = LearnerConfig(grid=grid, t_cap=t_cap, rho=1.0, eval_size=200_000, candidate_stride=250)
+    n_hold = min(holdout_cap, int(math.ceil(holdout_k / opt)))
+    [reports] = learn_batch(spec, [(model, opt, n_hold)], config, seeds)
     assert not isinstance(reports, Exception), reports
     sigmoid_angle = float(np.median([r.angle_to_wstar for r in reports]))
     return sigmoid_angle, convex_angle

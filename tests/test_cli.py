@@ -227,13 +227,22 @@ def test_run_groups_caps_workers_and_marks_failures(tmp_path, monkeypatch, fake_
         assert len(_rows(tmp_path / "o.csv")) == 1 + 6
 
 
-def test_compare_workers_match_serial(tmp_path):
-    # with two or more CPUs the default runs the one opt's two seed jobs on threads
+def test_compare_workers_match_serial(tmp_path, monkeypatch):
+    # with two or more CPUs the default runs the one opt's two seed jobs on
+    # threads; two opts of different holdout sizes (2,500 and 1,000 rows)
+    # share one batch, the same bytes at every worker count
     cfg = _write(tmp_path / "c.txt", TINY_COMPARE)
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     assert main(["compare", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
     assert main(["compare", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    monkeypatch.setattr(learner.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    cfg = _write(tmp_path / "c2.txt", _with(TINY_COMPARE, "opt_list = 0.02, 0.05", "seeds = 3"))
+    outs = [tmp_path / f"two-opts-w{w}.csv" for w in (1, 2, 3)]
+    for workers, out in zip((1, 2, 3), outs):
+        assert main(["compare", "--config", cfg, "--out", str(out), "--workers", str(workers)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+    assert len(_rows(outs[0])) == 1 + 2 * 3
 
 
 def test_compare_one_seed_fit_beside_its_batch_matches_serial(tmp_path, monkeypatch):
@@ -247,16 +256,23 @@ def test_compare_one_seed_fit_beside_its_batch_matches_serial(tmp_path, monkeypa
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("failing", ["full_batch_minimize", "learn_batch"])
-def test_compare_fit_or_batch_failure_fails_its_group(tmp_path, monkeypatch, failing):
-    # the fit and the batch run on two threads; whichever raises, the other
-    # runs to its end, the group gets its FAILED row and the run exits 1
+@pytest.mark.parametrize("failing, opts", [("full_batch_minimize", "0.02"), ("learn_batch", "0.02"),
+                                           ("full_batch_minimize", "0.02, 0.05")],
+                         ids=["full_batch_minimize", "learn_batch", "first-of-two-fits"])
+def test_compare_fit_or_batch_failure_fails_its_group(tmp_path, monkeypatch, failing, opts):
+    # the fits and the batch run on two threads; whichever raises, the other
+    # runs to its end, the failed group gets its FAILED row and the run exits
+    # 1. With two opts, the first opt's fit failing leaves the second opt's
+    # fit to run and its rows to stand
     monkeypatch.setattr(learner.os, "sched_getaffinity", lambda pid: {0, 1})
     other = "learn_batch" if failing == "full_batch_minimize" else "full_batch_minimize"
-    finished = []
+    finished, calls = [], []
 
-    def fails(*args, **kwargs):
-        raise RuntimeError(f"{failing} boom")
+    def fails(*args, fn=getattr(cli, failing), **kwargs):
+        calls.append(failing)
+        if len(calls) == 1:
+            raise RuntimeError(f"{failing} boom")
+        return fn(*args, **kwargs)
 
     def runs(*args, fn=getattr(cli, other), **kwargs):
         out = fn(*args, **kwargs)
@@ -265,17 +281,21 @@ def test_compare_fit_or_batch_failure_fails_its_group(tmp_path, monkeypatch, fai
 
     monkeypatch.setattr(cli, failing, fails)
     monkeypatch.setattr(cli, other, runs)
-    cfg = _write(tmp_path / "c.txt", _with(TINY_COMPARE, "seeds = 1"))
+    cfg = _write(tmp_path / "c.txt", _with(TINY_COMPARE, "seeds = 1", f"opt_list = {opts}"))
     out = tmp_path / "o.csv"
     assert main(["compare", "--config", cfg, "--out", str(out), "--workers", "2"]) == 1
-    assert _rows(out)[1:] == [["FAILED", f"RuntimeError: {failing} boom"] + [""] * 8]
+    rows = _rows(out)[1:]
+    assert rows[0] == ["FAILED", f"RuntimeError: {failing} boom"] + [""] * 8
+    assert [row[:4] for row in rows[1:]] == [["gaussian", "0.05", "logistic", "60"]] * (len(opts.split(",")) - 1)
+    assert len(calls) == len(rows)
     assert finished == [other]
 
 
 @pytest.mark.parametrize("lines, workers, pools, jobs", [
-    # one opt: the fit and the batch on two threads, the batch's seeds on every worker
-    (["seeds = 3"], "3", [2, 3], ["_convex_fits", "learn_batch"] + ["_seed_reports"] * 3),
-    (["opt_list = 0.02, 0.05", "seeds = 3"], "2", [2], ["_compare_group"] * 2),  # opts on threads, batches serial
+    # one job that fits every opt in turn (map_jobs over the fits, serial) beside one
+    # learn_batch of every opt, on two threads; the batch's seed jobs on every worker
+    (["seeds = 3"], "3", [2, 3], ["map_jobs", "learn_batch"] + ["_seed_reports"] * 3),
+    (["opt_list = 0.02, 0.05", "seeds = 3"], "2", [2, 2], ["map_jobs", "learn_batch"] + ["_seed_reports"] * 3),
 ], ids=["one-opt-3-seeds", "two-opts"])
 def test_compare_runs_one_level_of_threads(tmp_path, fake_pool, lines, workers, pools, jobs):
     cfg = _write(tmp_path / "c.txt", _with(TINY_COMPARE, *lines))

@@ -24,10 +24,11 @@ from halfspace_sgd.optimizer import PsgdConfig, psgd_lockstep
 from helpers import estimate_err01, reference_trial_report
 
 
-def _seed_report(spec, model, config, seed, opt_target, kept):
-    """The one-group report of learner._seed_reports for candidate lists
-    `kept` (grid widths, iterates, d)."""
-    [rep] = learner._seed_reports((spec, [(model, opt_target)], config, seed, kept[None], 0.0))
+def _seed_report(spec, group, config, seed, kept):
+    """The report of learner._seed_reports for one (model, opt_target,
+    holdout_size) group and candidate lists `kept` (grid widths, iterates,
+    d)."""
+    [rep] = learner._seed_reports((spec, [group], config, seed, kept[None], 0.0))
     return rep
 
 
@@ -35,8 +36,8 @@ def _pick(spec, model, kept):
     """(sigma_best, angle_to_wstar) of the trial report that selects from the
     candidate lists `kept` (grid widths, iterates, d); its holdout is
     _pick_holdout(spec, model)."""
-    config = LearnerConfig(grid=(0.3, 0.2, 0.1)[: len(kept)], t_cap=1, holdout_size=50_000, eval_size=1_000)
-    rep = _seed_report(spec, model, config, 8, float("nan"), np.asarray(kept, dtype=float))
+    config = LearnerConfig(grid=(0.3, 0.2, 0.1)[: len(kept)], t_cap=1, eval_size=1_000)
+    rep = _seed_report(spec, (model, float("nan"), 50_000), config, 8, np.asarray(kept, dtype=float))
     return rep.sigma_best, rep.angle_to_wstar
 
 
@@ -54,15 +55,15 @@ def _pick_holdout(spec, model):
 def test_streamed_trial_report_matches_materialised_reference(family, n_hold, n_eval, holdout_blocks):
     spec = dist.gaussian(3) if family == "gaussian" else dist.heavy_tailed(3.0)
     model = far_flip(unit_vector(spec.dim, 1), Z=dist.z_for_tail_mass(spec, 0.05), theta2=math.pi / 8)
-    config = LearnerConfig(grid=(0.3, 0.2, 0.1), t_cap=1, holdout_size=n_hold, eval_size=n_eval)
+    config = LearnerConfig(grid=(0.3, 0.2, 0.1), t_cap=1, eval_size=n_eval)
     rng = np.random.default_rng(21)
     kept = model.w_star + 0.3 * rng.standard_normal((3, 60, spec.dim))
     kept /= np.linalg.norm(kept, axis=2, keepdims=True)
     blocks = list(learner._point_blocks(spec, n_hold, derive_seed(4, 2)))
     assert [len(b) for b in blocks] == holdout_blocks
 
-    rep = _seed_report(spec, model, config, 4, 0.05, kept)
-    ref = reference_trial_report(spec, model, config, 4, kept)
+    rep = _seed_report(spec, (model, 0.05, n_hold), config, 4, kept)
+    ref = reference_trial_report(spec, (model, 0.05, n_hold), config, 4, kept)
     assert rep.measured_noise_rate == ref["measured_noise_rate"]
     assert rep.sigma_best == ref["sigma_best"]
     assert rep.err01 == ref["err01"]
@@ -73,6 +74,12 @@ def test_streamed_trial_report_matches_materialised_reference(family, n_hold, n_
 def test_default_holdout_size_formula():
     assert default_holdout_size(10, 0.01, 0.01) == max(10_000, math.ceil(math.log(10 / 1e-4) / 1e-4) * 2)
     assert default_holdout_size(2, 0.5, 0.5) == 10_000
+    # learn() without a holdout size uses this one
+    spec = dist.gaussian(3)
+    [(model, _, _)] = _far_flip_groups(spec, (0.05,), (None,))
+    cfg = LearnerConfig(epsilon=0.5, delta=0.5, grid=(0.2,), t_cap=500, eval_size=1_000, candidate_stride=50)
+    assert _fields(learn(spec, model, cfg, 3)) == _fields(learn(spec, model, cfg, 3, holdout_size=10_000))
+    assert _fields(learn(spec, model, cfg, 3)) != _fields(learn(spec, model, cfg, 3, holdout_size=9_000))
 
 
 def test_estimate_err01_reference_cases():
@@ -186,10 +193,9 @@ def test_run_for_sigma_reaches_low_error_on_clean_data():
 def test_learn_report_deterministic_per_seed():
     spec = dist.gaussian(3)
     model = far_flip(unit_vector(3, 1), Z=dist.z_for_tail_mass(spec, 0.02), theta2=math.pi / 8)
-    cfg = LearnerConfig(grid=(0.2, 0.1), t_cap=4000, holdout_size=20_000, eval_size=20_000,
-                        candidate_stride=50)
-    r1 = learn(spec, model, cfg, seed=77, opt_target=0.02)
-    r2 = learn(spec, model, cfg, seed=77, opt_target=0.02)
+    cfg = LearnerConfig(grid=(0.2, 0.1), t_cap=4000, eval_size=20_000, candidate_stride=50)
+    r1 = learn(spec, model, cfg, seed=77, opt_target=0.02, holdout_size=20_000)
+    r2 = learn(spec, model, cfg, seed=77, opt_target=0.02, holdout_size=20_000)
     for name in ("sigma_best", "err01", "angle_to_wstar", "measured_noise_rate"):
         assert getattr(r1, name) == getattr(r2, name)
     assert r1.seed == 77 and r1.family == "gaussian" and r1.d == 3
@@ -200,12 +206,11 @@ def test_learn_report_deterministic_per_seed():
 def test_learn_batch_matches_solo_learn():
     spec = dist.gaussian(3)
     model = far_flip(unit_vector(3, 1), Z=dist.z_for_tail_mass(spec, 0.02), theta2=math.pi / 8)
-    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, holdout_size=10_000, eval_size=10_000,
-                        candidate_stride=100)
+    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, eval_size=10_000, candidate_stride=100)
     seeds = [5, 6, 7]
-    batch = learn_batch(spec, [(model, 0.02)], cfg, seeds)[0]
+    batch = learn_batch(spec, [(model, 0.02, 10_000)], cfg, seeds)[0]
     for seed, rb in zip(seeds, batch):
-        solo = learn(spec, model, cfg, seed, opt_target=0.02)
+        solo = learn(spec, model, cfg, seed, opt_target=0.02, holdout_size=10_000)
         assert rb.sigma_best == solo.sigma_best
         assert rb.err01 == solo.err01
         assert rb.angle_to_wstar == solo.angle_to_wstar
@@ -227,7 +232,19 @@ def test_multi_group_batch_matches_solo_group():
         ("heavy_tailed", (0.02, 0.05), 65_537),
         ("gaussian", (0.02, 0.05), 43_691),
     ]:
-        _check_groups_match_solo(family, opts, holdout_size)
+        _check_groups_match_solo(_SPECS[family], opts, [holdout_size] * len(opts))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "logconcave", "heavy_tailed"])
+def test_groups_of_every_holdout_size_match_solo(family):
+    # one batch whose groups' holdouts end one row in, one row short of the
+    # first block edge, on it, one row past it and one row into a third
+    # block (43,690 rows at d = 3, 65,536 at d = 2): each group scores its
+    # own prefix of the largest, which is bitwise its solo holdout
+    spec = _SPECS[family]
+    block = max(learner._SCORE_ROWS, dist.block_rows(spec.dim))
+    sizes = [1, block - 1, block, block + 1, 2 * block + 1]
+    _check_groups_match_solo(spec, (0.01, 0.02, 0.03, 0.04, 0.05), sizes)
 
 
 def _fields(report) -> dict:
@@ -237,12 +254,17 @@ def _fields(report) -> dict:
     return out
 
 
-def _two_groups(spec):
-    """Two far-flip (model, opt) groups and a small config for them."""
+def _far_flip_groups(spec, opts, holdout_sizes):
+    """One far-flip (model, opt, holdout size) group per opt."""
     w_star = unit_vector(spec.dim, 1)
-    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt) for opt in (0.02, 0.05)]
-    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, holdout_size=5_000, eval_size=5_000, candidate_stride=100)
-    return groups, cfg
+    return [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt, n_hold)
+            for opt, n_hold in zip(opts, holdout_sizes)]
+
+
+def _two_groups(spec):
+    """Two far-flip groups and a small config for them."""
+    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, eval_size=5_000, candidate_stride=100)
+    return _far_flip_groups(spec, (0.02, 0.05), (5_000, 5_000)), cfg
 
 
 def _select_fails_at(opt, monkeypatch):
@@ -291,26 +313,28 @@ def test_psgd_failure_fills_every_entry(monkeypatch):
 @pytest.mark.parametrize("fail", ["select", "psgd"])
 def test_learn_reraises_its_failure(monkeypatch, fail):
     spec = dist.gaussian(3)
-    [(model, opt), _], cfg = _two_groups(spec)
+    [(model, opt, n_hold), _], cfg = _two_groups(spec)
     if fail == "select":
         _select_fails_at(opt, monkeypatch)
     else:
         _psgd_fails(monkeypatch)
     with pytest.raises(RuntimeError, match=f"{fail} boom"):
-        learn(spec, model, cfg, seed=5, opt_target=opt)
+        learn(spec, model, cfg, seed=5, opt_target=opt, holdout_size=n_hold)
 
 
-def _check_groups_match_solo(family, opts, holdout_size):
-    spec = dist.gaussian(3) if family == "gaussian" else dist.heavy_tailed(3.0)
-    w_star = unit_vector(spec.dim, 1)
-    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt) for opt in opts]
-    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, holdout_size=holdout_size, eval_size=5_000,
-                        candidate_stride=100)
+_SPECS = {"gaussian": dist.gaussian(3), "logconcave": dist.log_concave(), "heavy_tailed": dist.heavy_tailed(3.0)}
+
+
+def _check_groups_match_solo(spec, opts, holdout_sizes):
+    """One batch of a far-flip group per (opt, holdout size) over two seeds;
+    every report equals its solo learn() bitwise (wall_ms aside)."""
+    groups = _far_flip_groups(spec, opts, holdout_sizes)
+    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=2000, eval_size=5_000, candidate_stride=100)
     seeds = [5, 6]
     batch = learn_batch(spec, groups, cfg, seeds)
     assert len(batch) == len(groups)
-    for group, reports in zip(groups, batch):
-        solo = learn_batch(spec, [group], cfg, seeds)[0]
+    for (model, opt, n_hold), reports in zip(groups, batch):
+        solo = [learn(spec, model, cfg, seed, opt, n_hold) for seed in seeds]
         assert [_fields(r) for r in reports] == [_fields(r) for r in solo]
     assert [[r.opt_target for r in reports] for reports in batch] == [[opt, opt] for opt in opts]
 
@@ -335,9 +359,8 @@ def test_groups_share_every_draw(spec, monkeypatch):
 
     monkeypatch.setattr(dist.SampleStream, "take", counted_take)
     monkeypatch.setattr(dist, "sample", counted_sample)
-    w_star = unit_vector(spec.dim, 1)
-    groups = [(far_flip(w_star, Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8), opt) for opt in (0.02, 0.05)]
-    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=3000, holdout_size=5_000, eval_size=4_000, candidate_stride=100)
+    groups = _far_flip_groups(spec, (0.02, 0.05), (5_000, 5_000))
+    cfg = LearnerConfig(grid=(0.25, 0.1), t_cap=3000, eval_size=4_000, candidate_stride=100)
     seeds = [5, 6]
 
     def points(groups):
@@ -346,17 +369,16 @@ def test_groups_share_every_draw(spec, monkeypatch):
         return sum(drawn)
 
     one = points(groups[:1])
-    assert one == len(seeds) * (len(cfg.grid) * cfg.t_cap + cfg.holdout_size + cfg.eval_size)
+    assert one == len(seeds) * (len(cfg.grid) * cfg.t_cap + 5_000 + cfg.eval_size)
     assert points(groups) == one
 
 
 def test_wall_ms_is_per_trial():
     spec = dist.gaussian(3)
     model = clean_labels(unit_vector(3, 1))
-    cfg = LearnerConfig(grid=(0.2, 0.1), t_cap=2000, holdout_size=10_000, eval_size=10_000,
-                        candidate_stride=100)
+    cfg = LearnerConfig(grid=(0.2, 0.1), t_cap=2000, eval_size=10_000, candidate_stride=100)
     t0 = time.perf_counter()
-    reports = learn_batch(spec, [(model, float("nan"))], cfg, [1, 2, 3])[0]
+    reports = learn_batch(spec, [(model, float("nan"), 10_000)], cfg, [1, 2, 3])[0]
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     assert all(r.wall_ms > 0.0 for r in reports)
     assert sum(r.wall_ms for r in reports) <= elapsed_ms
@@ -366,9 +388,8 @@ def test_learn_clean_reaches_low_error():
     # opt = 0, epsilon = 0.02, d = 5: 10-seed median error <= 0.03
     spec = dist.gaussian(5)
     model = clean_labels(unit_vector(5, 1))
-    cfg = LearnerConfig(epsilon=0.02, grid=(0.2, 0.1, 0.05), t_cap=30_000,
-                        holdout_size=30_000, eval_size=50_000, candidate_stride=100)
-    reports = learn_batch(spec, [(model, float("nan"))], cfg, seeds=range(10))[0]
+    cfg = LearnerConfig(epsilon=0.02, grid=(0.2, 0.1, 0.05), t_cap=30_000, eval_size=50_000, candidate_stride=100)
+    reports = learn_batch(spec, [(model, float("nan"), 30_000)], cfg, seeds=range(10))[0]
     med = float(np.median([r.err01 for r in reports]))
     assert med <= 0.03
 
@@ -378,9 +399,8 @@ def test_learn_far_flip_error_tracks_opt():
     spec = dist.gaussian(10)
     opt = 0.01
     model = far_flip(unit_vector(10, 1), Z=dist.z_for_tail_mass(spec, opt), theta2=math.pi / 8)
-    cfg = LearnerConfig(epsilon=0.01, grid=(0.16, 0.08, 0.04), t_cap=50_000,
-                        holdout_size=50_000, eval_size=100_000, candidate_stride=200)
-    reports = learn_batch(spec, [(model, opt)], cfg, seeds=range(10))[0]
+    cfg = LearnerConfig(epsilon=0.01, grid=(0.16, 0.08, 0.04), t_cap=50_000, eval_size=100_000, candidate_stride=200)
+    reports = learn_batch(spec, [(model, opt, 50_000)], cfg, seeds=range(10))[0]
     med = float(np.median([r.err01 for r in reports]))
     assert med <= 4 * opt + cfg.epsilon
 
@@ -421,7 +441,14 @@ def test_learner_config_validation():
     with pytest.raises(ValueError):
         LearnerConfig(grid=(0.1, -0.2))
     for bad in (dict(rho=0.0), dict(rho=-1.0), dict(rho=float("nan")), dict(t_cap=0), dict(eval_size=0),
-                dict(candidate_stride=0), dict(holdout_size=0), dict(holdout_size=-5)):
+                dict(candidate_stride=0)):
         with pytest.raises(ValueError):
             LearnerConfig(**bad)
-    assert LearnerConfig(holdout_size=1).holdout_size == 1
+    # a group's holdout size is checked before any work: no draw, no PSGD
+    spec = dist.gaussian(3)
+    model = clean_labels(unit_vector(3, 1))
+    for n_hold in (0, -5):
+        with pytest.raises(ValueError, match="holdout_size must be >= 1"):
+            learn_batch(spec, [(model, 0.0, 5), (model, 0.0, n_hold)], LearnerConfig(), [1])
+        with pytest.raises(ValueError, match="holdout_size must be >= 1"):
+            learn(spec, model, LearnerConfig(), 1, holdout_size=n_hold)

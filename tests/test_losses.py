@@ -294,6 +294,5 @@ def test_convex_grad_mean_matches_loop():
     y = np.where(rng.random(100) < 0.5, 1.0, -1.0)
     loop = np.mean([-yy * logistic.slope(-yy * float(x @ w)) * x for x, yy in zip(X, y)], axis=0)
     np.testing.assert_allclose(convex_grad_mean(w, X, y, logistic), loop, atol=1e-14)
-    # the baselines' gradient from margins is the same arithmetic
-    np.testing.assert_array_equal(baselines._mean_grad(logistic, X, y, -y * (X @ w)),
-                                  convex_grad_mean(w, X, y, logistic))
+    # the baselines' blocked gradient is the same arithmetic (one block here)
+    np.testing.assert_array_equal(baselines._gradient(logistic, X, y, w), convex_grad_mean(w, X, y, logistic))
