@@ -312,7 +312,7 @@ def _compare_run(spec, lc, groups, fits, floors, seeds, workers: int) -> list:
     outcomes = []
     for (_, opt, _), floor, fit, reports in zip(groups, floors, convex, batch):
         failure = next((out for out in (fit, reports) if isinstance(out, Exception)), None)
-        outcomes.append(failure if failure else [
+        outcomes.append(failure or [
             [spec.family, opt, kind, rep.seed, rep.angle_to_wstar, rep.err01, rep.sigma_best,
              c_angle, c_gnorm, floor] for kind, c_angle, c_gnorm in fit for rep in reports])
     return outcomes
