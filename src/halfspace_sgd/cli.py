@@ -266,8 +266,8 @@ _COMPARE_HEADER = [
 
 def _compare_groups(cfg) -> tuple:
     """(spec, LearnerConfig, groups, fits, floors) for compare: per opt, its
-    (noise model, opt, holdout size) group, its convex fits as one call and
-    its predicted floor."""
+    (noise model, opt, holdout size) group, its convex fits as one call of
+    `workers=` and its predicted floor."""
     spec = _make_spec(cfg["family"], 2, cfg["s"])
     losses = [convex_surrogate(kind) for kind in cfg["losses"]]
     w_star = unit_vector(2, 1)
@@ -285,13 +285,15 @@ def _compare_groups(cfg) -> tuple:
     return spec, lc, groups, fits, floors
 
 
-def _convex_fits(spec, model, losses, conv_n, conv_seed, gtol) -> list[tuple]:
+def _convex_fits(spec, model, losses, conv_n, conv_seed, gtol, workers) -> list[tuple]:
     """(loss kind, angle to w*, gradient norm) of each full-batch minimizer on
-    one conv_n-point dataset, which is freed on return."""
+    one conv_n-point dataset, which is freed on return; each pass of a fit
+    runs its row blocks over `workers` threads."""
     conv_ds = make_dataset(spec, model, conv_n, conv_seed)
     fits = []
     for loss in losses:
-        w_c, gnorm, _ = full_batch_minimize(loss, conv_ds.x, conv_ds.y, w0=model.w_star, gtol=gtol)
+        w_c, gnorm, _ = full_batch_minimize(loss, conv_ds.x, conv_ds.y, w0=model.w_star, gtol=gtol,
+                                            workers=workers)
         fits.append((loss.kind, angle_between(w_c / np.linalg.norm(w_c), model.w_star), gnorm))
     return fits
 
@@ -304,8 +306,10 @@ def _compare_run(spec, lc, groups, fits, floors, seeds, workers: int) -> list:
     """Every opt group in one learn_batch over `workers` threads, beside one
     job that runs the groups' convex fits one group at a time: on a thread
     of its own, the core the batch's GIL-bound lockstep leaves idle, with
-    workers >= 2, and before the batch with one. A group whose fits or batch
+    workers >= 2, and before the batch with one. Each fit's row-block passes
+    run over `workers` threads of their own. A group whose fits or batch
     entry is an exception gets that exception, so a FAILED row."""
+    fits = [partial(fit, workers=workers) for fit in fits]
     jobs = [partial(map_jobs, _call, fits), partial(learn_batch, spec, groups, lc, seeds, workers)]
     convex, batch = ([out] * len(groups) if isinstance(out, Exception) else out
                      for out in map_jobs(_call, jobs, workers))
@@ -374,7 +378,8 @@ def _build_groups(command: str, cfg: dict, timing: bool):
     group for _collect: its rows, or the exception that failed it (see
     learner.map_jobs). learn, sweep and lowerbound run one level of
     threads, at most `workers` of them; compare, one learn_batch as learn
-    does, adds one thread for its convex fits (_compare_run). Every spec,
+    does, adds one thread for its convex fits, whose row-block passes run on
+    up to `workers` threads of their own (_compare_run). Every spec,
     noise model, LearnerConfig, holdout size and scan input is built here,
     so a value that passes its _SCHEMAS check but not a constructor's
     raises ValueError before any group runs."""

@@ -379,7 +379,10 @@ class SampleStream:
         else:  # scaled draw, in-place divide: one n-array temporary
             r = radius.gamma(2.0, solve_isotropic_params(self.spec.s)[0], n)
             r /= divisor.gamma(self.spec.s, 1.0, n)
-        return r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        xy = np.empty((n, 2))
+        np.multiply(np.cos(phi), r, out=xy[:, 0])
+        np.multiply(np.sin(phi), r, out=xy[:, 1])
+        return xy
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,9 @@ def map_jobs(fn, jobs, workers: int = 1) -> list:
     """[fn(job) for job in jobs] in job order, over at most min(workers,
     jobs, usable CPUs) threads, and in the calling thread alone when that is
     1; a job that raises gives its exception in place of its result. numpy
-    releases the GIL in the array passes that dominate a report or a cone
-    scan, so the threads share the cores; each job is computed on its own,
-    so results do not depend on the thread count."""
+    releases the GIL in the array passes that dominate a report, a convex
+    fit's row block or a cone scan, so the threads share the cores; each job
+    is computed on its own, so results do not depend on the thread count."""
     n = min(workers, len(jobs), len(os.sched_getaffinity(0)))
     results = []
     with ThreadPoolExecutor(max_workers=n) if n > 1 else contextlib.nullcontext() as pool:

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import helpers
+from halfspace_sgd import baselines, learner
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.baselines import full_batch_minimize
 from halfspace_sgd.geometry import angle_between, unit_vector
@@ -87,6 +89,61 @@ def test_newton_row_blocks_match_the_whole_set(three_block_dataset, kind, blocks
     assert np.linalg.norm(w - w_full) <= 1e-12 * np.linalg.norm(w_full)
 
 
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+                         ids=["1", "block-1", "block", "block+1", "2block+1"])
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge", "hinge"])
+def test_fit_is_the_same_at_every_worker_count(three_block_dataset, monkeypatch, kind, blocks, extra):
+    # each pass's row blocks run on up to `workers` threads and their sums are
+    # added in block order, so the fit is bitwise the serial one; the hinge
+    # takes 20 subgradient steps (max_iter = 1)
+    monkeypatch.setattr(learner.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    n = blocks * dist.block_rows(2) + extra
+    X, y = three_block_dataset.x[:n], three_block_dataset.y[:n]
+    loss = convex_surrogate(kind)
+    max_iter = 1 if kind == "hinge" else 500
+    fits = [full_batch_minimize(loss, X, y, w0=np.array([5.0, -5.0]), max_iter=max_iter, workers=workers)
+            for workers in (1, 2, 3)]
+    for w, gnorm, iters in fits[1:]:
+        np.testing.assert_array_equal(w, fits[0][0])
+        assert (gnorm, iters) == fits[0][1:]
+
+
+@pytest.mark.parametrize("w0", [(5.0, -5.0), (0.0, 1.0)], ids=["far", "w_star"])
+@pytest.mark.parametrize("max_iter", [1, 2, 500])
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge"])
+def test_newton_makes_one_pass_per_try(three_block_dataset, monkeypatch, kind, max_iter, w0):
+    # one block pass at w0, then one per Armijo try, the accepted try's pass
+    # serving the next iteration: 1 + tries passes, where the reference makes
+    # one objective pass per try and one more per iteration. From (5, -5) the
+    # logistic rejects tries; from w* no try is rejected
+    X, y = three_block_dataset.x, three_block_dataset.y
+    loss = convex_surrogate(kind)
+    passes, objectives = [], []
+
+    def counted_pass(*args, fn=baselines._pass):
+        passes.append(args[4])
+        return fn(*args)
+
+    def counted_objective(*args, fn=helpers.convex_loss_mean):
+        objectives.append(args[0])
+        return fn(*args)
+
+    monkeypatch.setattr(baselines, "_pass", counted_pass)
+    monkeypatch.setattr(helpers, "convex_loss_mean", counted_objective)
+    w, _, iters = full_batch_minimize(loss, X, y, w0=np.array(w0), max_iter=max_iter)
+    w_ref, _, iters_ref = reference_newton(loss, X, y, np.array(w0), max_iter=max_iter, rows=dist.block_rows(2))
+    np.testing.assert_array_equal(w, w_ref)
+    tries = len(objectives) - iters_ref
+    assert iters == iters_ref and tries >= iters
+    assert len(passes) == 1 + tries
+    np.testing.assert_array_equal(passes[0], w0)
+    np.testing.assert_array_equal(passes[-1], w)
+    if w0 == (0.0, 1.0):
+        assert tries == iters
+    elif kind == "logistic":
+        assert tries > iters
+
+
 @pytest.mark.parametrize("kind", ["logistic", "squared_hinge", "hinge"])
 def test_newton_memory_does_not_grow_with_n(kind):
     # the traced peak of a fit is a few row blocks' temporaries, the same at
@@ -106,6 +163,30 @@ def test_newton_memory_does_not_grow_with_n(kind):
             tracemalloc.stop()
     assert peaks[1] <= 4 * dist.BLOCK_BYTES
     assert peaks[1] <= peaks[0] + dist.BLOCK_BYTES // 8
+
+
+@pytest.mark.parametrize("kind", ["logistic", "squared_hinge", "hinge"])
+def test_memory_on_two_workers_is_bounded(monkeypatch, kind):
+    # on two threads, at most two blocks' temporaries are live at once: at 2
+    # and at 8 blocks of data the traced peak stays within twice the
+    # one-worker peak (plus 64 KiB for the thread pool's own objects), and
+    # within twice the one-worker bound above
+    monkeypatch.setattr(learner.os, "sched_getaffinity", lambda pid: {0, 1})
+    loss = convex_surrogate(kind)
+    max_iter = 1 if kind == "hinge" else 500
+    ds = _noisy_dataset(dist.heavy_tailed(3.0), 0.01, 8 * dist.block_rows(2), seed=10)
+    for blocks in (2, 8):
+        X, y = ds.x[: blocks * dist.block_rows(2)], ds.y[: blocks * dist.block_rows(2)]
+        peaks = []
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                full_batch_minimize(loss, X, y, w0=E2, max_iter=max_iter, workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0] + dist.BLOCK_BYTES // 16
+        assert peaks[1] <= 2 * 4 * dist.BLOCK_BYTES
 
 
 def test_minimize_deterministic():

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from concurrent.futures import Future
 from pathlib import Path
@@ -10,8 +11,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from halfspace_sgd import cli, learner
+from halfspace_sgd import baselines, cli, learner
 from halfspace_sgd.cli import main, parse_config
+from halfspace_sgd.distributions import block_rows
 
 
 def _write(path: Path, text: str) -> str:
@@ -230,14 +232,15 @@ def test_run_groups_caps_workers_and_marks_failures(tmp_path, monkeypatch, fake_
 def test_compare_workers_match_serial(tmp_path, monkeypatch):
     # with two or more CPUs the default runs the one opt's two seed jobs on
     # threads; two opts of different holdout sizes (2,500 and 1,000 rows)
-    # share one batch, the same bytes at every worker count
+    # share one batch, and their fits' passes split 70,000 rows into two
+    # blocks: the same bytes at every worker count
     cfg = _write(tmp_path / "c.txt", TINY_COMPARE)
     out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     assert main(["compare", "--config", cfg, "--out", str(out1), "--workers", "1"]) == 0
     assert main(["compare", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     monkeypatch.setattr(learner.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    cfg = _write(tmp_path / "c2.txt", _with(TINY_COMPARE, "opt_list = 0.02, 0.05", "seeds = 3"))
+    cfg = _write(tmp_path / "c2.txt", _with(TINY_COMPARE, "opt_list = 0.02, 0.05", "seeds = 3", "conv_n = 70000"))
     outs = [tmp_path / f"two-opts-w{w}.csv" for w in (1, 2, 3)]
     for workers, out in zip((1, 2, 3), outs):
         assert main(["compare", "--config", cfg, "--out", str(out), "--workers", str(workers)]) == 0
@@ -302,6 +305,53 @@ def test_compare_runs_one_level_of_threads(tmp_path, fake_pool, lines, workers, 
     assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--workers", workers]) == 0
     assert fake_pool.started == pools
     assert fake_pool.submitted == jobs
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_compare_fit_passes_run_on_the_workers(tmp_path, fake_pool, workers):
+    # conv_n = 2 blocks + 1 row: each pass of the Newton fit maps its three
+    # row blocks over a pool of --workers threads of its own, after the fits'
+    # job has started and before the batch's seed jobs; at --workers 1 no
+    # pool starts at all
+    rows = 2 * block_rows(2) + 1
+    cfg = _write(tmp_path / "c.txt", _with(TINY_COMPARE, f"conv_n = {rows}", "seeds = 3"))
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "o.csv"), "--workers", str(workers)]) == 0
+    if workers == 1:
+        assert fake_pool.started == fake_pool.submitted == []
+        return
+    passes = fake_pool.submitted.count("block") // 3
+    assert passes >= 2
+    assert fake_pool.started == [2] + [workers] * (passes + 1)
+    assert fake_pool.submitted == ["map_jobs"] + ["block"] * 3 * passes + ["learn_batch"] + ["_seed_reports"] * 3
+
+
+def test_compare_block_pass_failure_fails_its_group(tmp_path, monkeypatch):
+    # a block that raises on a pass thread, not the fit's own, fails its pass,
+    # so its opt's fit: that opt gets its FAILED row, the other opt's rows
+    # stand, and the run exits 1
+    monkeypatch.setattr(learner.os, "sched_getaffinity", lambda pid: {0, 1})
+    threads, fitters = [], []
+
+    def fit(*args, fn=cli.full_batch_minimize, **kwargs):
+        fitters.append(threading.current_thread())
+        return fn(*args, **kwargs)
+
+    def fails(loss, Xb, yb, t, fn=baselines._newton_terms):
+        if len(yb) == 1 and not threads:
+            threads.append(threading.current_thread())
+            raise RuntimeError("block boom")
+        return fn(loss, Xb, yb, t)
+
+    monkeypatch.setattr(cli, "full_batch_minimize", fit)
+    monkeypatch.setattr(baselines, "_newton_terms", fails)
+    rows = block_rows(2) + 1
+    cfg = _write(tmp_path / "c.txt", _with(TINY_COMPARE, "seeds = 1", "opt_list = 0.02, 0.05", f"conv_n = {rows}"))
+    out = tmp_path / "o.csv"
+    assert main(["compare", "--config", cfg, "--out", str(out), "--workers", "2"]) == 1
+    assert threads[0] not in (fitters[0], threading.main_thread())
+    got = _rows(out)[1:]
+    assert got[0] == ["FAILED", "RuntimeError: block boom"] + [""] * 8
+    assert [row[:4] for row in got[1:]] == [["gaussian", "0.05", "logistic", "60"]]
 
 
 def test_cli_import_does_not_load_multiprocessing():
