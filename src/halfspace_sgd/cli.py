@@ -305,10 +305,12 @@ def _call(job):
 def _compare_run(spec, lc, groups, fits, floors, seeds, workers: int) -> list:
     """Every opt group in one learn_batch over `workers` threads, beside one
     job that runs the groups' convex fits one group at a time: on a thread
-    of its own, the core the batch's GIL-bound lockstep leaves idle, with
-    workers >= 2, and before the batch with one. Each fit's row-block passes
-    run over `workers` threads of their own. A group whose fits or batch
-    entry is an exception gets that exception, so a FAILED row."""
+    of its own with workers >= 2, and before the batch with one. The overlap
+    that pays is Newton beside the batch's seed reports, whose large array
+    passes both release the GIL; a fit's dataset draw mostly waits on the
+    GIL while the batch's lockstep runs. Each fit's row-block passes run
+    over `workers` threads of their own. A group whose fits or batch entry
+    is an exception gets that exception, so a FAILED row."""
     fits = [partial(fit, workers=workers) for fit in fits]
     jobs = [partial(map_jobs, _call, fits), partial(learn_batch, spec, groups, lc, seeds, workers)]
     convex, batch = ([out] * len(groups) if isinstance(out, Exception) else out

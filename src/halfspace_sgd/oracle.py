@@ -29,6 +29,10 @@ added once.
 Batching: every sector x annulus x kink-split piece of every point of a scan
 is one row of one of two rules (the radial first coordinate; the angular or
 tensor second coordinate), and one refine_by_doubling call drives them all.
+The rows of all points are built in array passes over (point, sector,
+annulus, split), and come out in that order; it fixes the order in which
+each point adds up its pieces, so each point's sums are bitwise those of
+the point alone.
 Each doubling level evaluates the rows that have not converged in stacked
 array passes of at most _BLOCK_NODES nodes; each row keeps its own stopping
 test and roundoff floor. The logistic tensor rule factors its integrand as
@@ -111,43 +115,85 @@ def _auto_r_max(spec, tol: float) -> float:
     return dist._invert_decreasing(lambda R: dist.truncated_first_moment(spec, R), tol / 10.0)
 
 
-def _sector_break_angles(model: NoiseModel, frame_shift: float) -> np.ndarray:
-    """Label-change angles in the w-frame: w*-boundary rays and the w_tilde line."""
+def _math(f, *xs) -> np.ndarray:
+    """f of the math module, elementwise over same-shaped arrays: numpy's
+    SIMD asin and atan2 can differ from it in the last bit, and the rows
+    must equal those the per-point scalar form gives."""
+    return np.array(list(map(f, *(x.ravel().tolist() for x in xs))), dtype=float).reshape(xs[0].shape)
+
+
+def _break_angles(model: NoiseModel, shifts: np.ndarray) -> np.ndarray:
+    """Label-change angles in each point's w-frame, sorted, one row per frame
+    shift: the w*-boundary rays and the w_tilde line."""
     a_star = math.atan2(model.w_star[1], model.w_star[0])
     a_tilde = math.atan2(model.w_tilde[1], model.w_tilde[0])
-    angles = [a_star - math.pi / 2.0, a_star + math.pi / 2.0, a_tilde, a_tilde + math.pi]
-    shifted = np.mod(np.asarray(angles) - frame_shift, 2.0 * math.pi)
-    return np.unique(np.round(shifted, 14))
+    angles = np.array([a_star - math.pi / 2.0, a_star + math.pi / 2.0, a_tilde, a_tilde + math.pi])
+    return np.sort(np.round(np.mod(angles - shifts[:, None], 2.0 * math.pi), 14), axis=1)
 
 
-def _split_at(points, lo: float, hi: float) -> list[tuple[float, float]]:
-    """[lo, hi] cut at the points strictly inside it, as (a, b) pieces."""
-    edges = sorted({lo, hi, *(p for p in points if lo + 1e-13 < p < hi - 1e-13)})
-    return list(zip(edges[:-1], edges[1:]))
+def _split(lo, hi, kinks):
+    """(a, b, keep) of [lo, hi] cut at the kinks strictly inside it (NaN for
+    none), over a trailing split axis: each interval's pieces in increasing
+    order where keep; equal kinks give one cut."""
+    lo, hi = (np.broadcast_to(v, kinks.shape[:-1])[..., None] for v in (lo, hi))
+    cuts = np.sort(np.where((kinks > lo + 1e-13) & (kinks < hi - 1e-13), kinks, hi), axis=-1)
+    edges = np.concatenate([lo, cuts, hi], axis=-1)
+    return edges[..., :-1], edges[..., 1:], edges[..., :-1] < edges[..., 1:]
 
 
-def _radial_kinks(loss, rho, y, s1, s2) -> list[float]:
-    """Radii where the hinge of -y rho r s_i kinks (-y rho r s_i = -1)."""
-    if loss.kind != "hinge":
-        return []
-    return [1.0 / (rho * y * s) for s in (s1, s2) if y * s > 1e-300]
+def _rule_rows(loss, model: NoiseModel, ws, r_max: float):
+    """Parameter rows of both rules for every piece of the points ws: (radial
+    rows, their indices, second-coordinate rows, their indices, frame
+    shifts), an index being 2 * point + (1 if the piece lies in S).
 
+    A point's pieces are its half-plane's two sectors [brk0, brk1],
+    [brk1, brk2] by the annuli (S^c, then S), each cut at its kinks: the
+    hinge's radii 1/(rho y sin p) and, for its second coordinate, the angles
+    where r = 1/(rho y sin phi) crosses an annulus edge and the zeros of
+    sin(phi). Every array here is laid out (point, sector, annulus, split),
+    so each rule's rows come out in that order, which fixes the order each
+    point adds its pieces in. ValueError unless every point's break angles
+    are four distinct antipodal pairs.
+    """
+    W = np.asarray(ws, dtype=float).reshape(-1, 2)
+    rho = np.sqrt(np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0])  # x.dot(x) per point, as np.linalg.norm
+    shifts = _math(math.atan2, W[:, 1], W[:, 0]) - math.pi / 2.0
+    brk = _break_angles(model, shifts)
+    if np.any(brk[:, 1:] == brk[:, :-1]) or np.any(np.abs(brk[:, 2:] - brk[:, :2] - math.pi) > 1e-12):
+        raise ValueError("the label-change angles are not antipodally symmetric")
+    annuli = np.array([(0.0, r_max)] if model.Z >= r_max else [(0.0, model.Z), (model.Z, r_max)])
+    ra, rb = annuli.T
+    p1, p2 = brk[:, :2, None], brk[:, 1:3, None]  # (point, sector, 1)
+    # the observed label is constant on each sector x annulus piece: label its midpoint
+    phi, r = 0.5 * (p1 + p2) + shifts[:, None, None], 0.5 * (ra + rb)
+    mid = np.stack(np.broadcast_arrays(r * np.cos(phi), r * np.sin(phi)), axis=-1)
+    y = corrupt_labels(model, mid.reshape(-1, 2))[0].reshape(mid.shape[:-1])  # (point, sector, annulus)
+    rho3 = rho[:, None, None]
+    yr = y * rho3
+    at = np.broadcast_to(2 * np.arange(len(W))[:, None, None] + np.arange(len(annuli)), y.shape)
 
-def _angular_kinks(rho, y, ra, rb) -> list[float]:
-    """Angles where the slope support boundary r = 1/(rho y sin phi) crosses
-    ra or rb, plus the sign changes of sin(phi)."""
-    kinks = []
-    for r_edge in (ra, rb):
-        if r_edge > 0:
-            c = 1.0 / (rho * r_edge)
-            if c <= 1.0:
-                base = math.asin(c) if y > 0 else -math.asin(c)
-                for cand in (base, math.pi - base):
-                    for k in (-1, 0, 1):
-                        kinks.append(cand + 2.0 * math.pi * k)
-    for k in (-1, 0, 1, 2):
-        kinks.append(k * math.pi)
-    return kinks
+    sines = _math(math.sin, brk[:, :3])
+    s = np.stack([sines[:, :2], sines[:, 1:]], axis=-1)[:, :, None]  # (point, sector, 1, sin p1 | sin p2)
+    hinged = (y[..., None] * s > 1e-300) & (loss.kind == "hinge")
+    a, b, keep = _split(ra, rb, 1.0 / np.where(hinged, yr[..., None] * s, np.nan))
+    radial = np.stack(np.broadcast_arrays(a, b, -yr[..., None] * s[..., :1], -yr[..., None] * s[..., 1:],
+                                          rho3[..., None]), axis=-1)[keep]
+    radial_at = np.broadcast_to(at[..., None], keep.shape)[keep]
+    if loss.kind == "logistic":
+        second = np.stack(np.broadcast_arrays(y, rho3, p1, p2, ra, rb), axis=-1).reshape(-1, 6)
+        return radial, radial_at, second, at.ravel(), shifts
+
+    # the angles where r = 1/(rho y sin phi) crosses an annulus edge e > 0: +-asin(1/(rho e)), mirrored
+    c = 1.0 / (rho3 * np.where(annuli > 0.0, annuli, np.nan))  # (point, annulus, ra | rb)
+    base = np.full(c.shape, np.nan)
+    base[c <= 1.0] = _math(math.asin, c[c <= 1.0])
+    base = np.where(y[..., None] > 0, base[:, None], -base[:, None])  # (point, sector, annulus, edge)
+    turns = np.array([-2.0 * math.pi, 0.0, 2.0 * math.pi])
+    crossings = (np.stack([base, math.pi - base], axis=-1)[..., None] + turns).reshape(y.shape + (12,))
+    poles = np.broadcast_to(np.array([-math.pi, 0.0, math.pi, 2.0 * math.pi]), y.shape + (4,))
+    a, b, keep = _split(p1, p2, np.concatenate([crossings, poles], axis=-1))
+    second = np.stack(np.broadcast_arrays(a, b, *(v[..., None] for v in (y, rho3, ra, rb))), axis=-1)[keep]
+    return radial, radial_at, second, np.broadcast_to(at[..., None], keep.shape)[keep], shifts
 
 
 def _row_blocks(rows: int, nodes_per_row: int) -> list[slice]:
@@ -279,46 +325,15 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
     """
     if loss.kind not in ORACLE_KINDS:
         raise ValueError(f"the oracle implements the {' and '.join(ORACLE_KINDS)} losses, not {loss.kind}")
-    Z, r_max = model.Z, _auto_r_max(spec, quad.tol)
-    annuli = [(0.0, r_max)] if Z >= r_max else [(0.0, Z), (Z, r_max)]  # S^c, then S
-    radial, second = [], []  # parameter rows of the two coordinates' rules
-    radial_at, second_at = [], []  # 2 * point + (1 if the piece lies in S)
-    shifts = []
-    for i, w in enumerate(ws):
-        rho = float(np.linalg.norm(w))
-        frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
-        shifts.append(frame_shift)
-        brk = _sector_break_angles(model, frame_shift).tolist()
-        half = len(brk) // 2
-        if len(brk) % 2 or np.any(np.abs(np.subtract(brk[half:], brk[:half]) - math.pi) > 1e-12):
-            raise ValueError("the label-change angles are not antipodally symmetric")
-        pieces = [(p1, p2, ra, rb, 2 * i + j) for p1, p2 in zip(brk[:half], brk[1:half + 1])
-                  for j, (ra, rb) in enumerate(annuli)]  # the half-plane [brk[0], brk[0] + pi]
-        # the observed label is constant on each sector x annulus piece: label its midpoint
-        phi = np.array([0.5 * (p1 + p2) for p1, p2, *_ in pieces]) + frame_shift
-        r = np.array([0.5 * (ra + rb) for _, _, ra, rb, _ in pieces])
-        labels = corrupt_labels(model, r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1))[0]
-        for (p1, p2, ra, rb, at), y in zip(pieces, labels.tolist()):
-            s1, s2 = math.sin(p1), math.sin(p2)
-            for a, b in _split_at(_radial_kinks(loss, rho, y, s1, s2), ra, rb):
-                radial.append((a, b, -y * rho * s1, -y * rho * s2, rho))
-                radial_at.append(at)
-            if loss.kind == "logistic":
-                second.append((y, rho, p1, p2, ra, rb))
-                second_at.append(at)
-                continue
-            for a, b in _split_at(_angular_kinks(rho, y, ra, rb), p1, p2):
-                second.append((a, b, y, rho, ra, rb))
-                second_at.append(at)
-
+    radial, radial_at, second, second_at, shifts = _rule_rows(loss, model, ws, _auto_r_max(spec, quad.tol))
     if loss.kind == "logistic":
-        second_rule = _Rule(np.array(second), partial(_tensor_level, spec, quad.tol), lambda row: (
+        second_rule = _Rule(second, partial(_tensor_level, spec, quad.tol), lambda row: (
             f"the 2D tensor rule over r in [{row[4]:g}, {row[5]:g}], phi in [{row[2]:g}, {row[3]:g}]"))
     else:
-        second_rule = _Rule(np.array(second), partial(
+        second_rule = _Rule(second, partial(
             _line_level, partial(_angular_integrand, spec), False, _ANGULAR_PANELS),
             lambda row: f"phi in [{row[0]:g}, {row[1]:g}]")
-    radial_rule = _Rule(np.array(radial), partial(
+    radial_rule = _Rule(radial, partial(
         _line_level, partial(_radial_integrand, loss, spec), True, _RADIAL_PANELS),
         lambda row: f"r in [{row[0]:g}, {row[1]:g}]")
     (v1, e1), (v2, e2) = _integrate([radial_rule, second_rule], quad.tol)
@@ -328,8 +343,8 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
     np.add.at(parts[:, 0], radial_at, v1)
     np.add.at(parts[:, 1], second_at, v2)
     errors = np.zeros(n)
-    np.add.at(errors, np.array(radial_at) // 2, e1)
-    np.add.at(errors, np.array(second_at) // 2, e2)
+    np.add.at(errors, radial_at // 2, e1)
+    np.add.at(errors, second_at // 2, e2)
     parts, errors = 2.0 * parts, 2.0 * errors + quad.tol / 10.0  # both half-planes; truncation beyond r_max
 
     # rotate back from each point's w-frame

@@ -262,6 +262,87 @@ def _tensor_cell(loss, spec, rho, y, p1, p2, ra, rb, quad):
     return float(values[0]), float(errors[0])
 
 
+def sector_break_angles(model, frame_shift: float) -> np.ndarray:
+    """Label-change angles in the w-frame: w*-boundary rays and the w_tilde
+    line, merged where equal. One point at a time: the oracle for
+    oracle._break_angles."""
+    a_star = math.atan2(model.w_star[1], model.w_star[0])
+    a_tilde = math.atan2(model.w_tilde[1], model.w_tilde[0])
+    angles = [a_star - math.pi / 2.0, a_star + math.pi / 2.0, a_tilde, a_tilde + math.pi]
+    shifted = np.mod(np.asarray(angles) - frame_shift, 2.0 * math.pi)
+    return np.unique(np.round(shifted, 14))
+
+
+def split_at(points, lo: float, hi: float) -> list[tuple[float, float]]:
+    """[lo, hi] cut at the points strictly inside it, as (a, b) pieces."""
+    edges = sorted({lo, hi, *(p for p in points if lo + 1e-13 < p < hi - 1e-13)})
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def radial_kinks(loss, rho, y, s1, s2) -> list[float]:
+    """Radii where the hinge of -y rho r s_i kinks (-y rho r s_i = -1)."""
+    if loss.kind != "hinge":
+        return []
+    return [1.0 / (rho * y * s) for s in (s1, s2) if y * s > 1e-300]
+
+
+def angular_kinks(rho, y, ra, rb) -> list[float]:
+    """Angles where the slope support boundary r = 1/(rho y sin phi) crosses
+    ra or rb, plus the sign changes of sin(phi)."""
+    kinks = []
+    for r_edge in (ra, rb):
+        if r_edge > 0:
+            c = 1.0 / (rho * r_edge)
+            if c <= 1.0:
+                base = math.asin(c) if y > 0 else -math.asin(c)
+                for cand in (base, math.pi - base):
+                    for k in (-1, 0, 1):
+                        kinks.append(cand + 2.0 * math.pi * k)
+    for k in (-1, 0, 1, 2):
+        kinks.append(k * math.pi)
+    return kinks
+
+
+def reference_rule_rows(loss, model, ws, r_max: float):
+    """(radial rows, their indices, second-coordinate rows, their indices,
+    frame shifts) of oracle._rule_rows, built one point and one piece at a
+    time with the scalar helpers above; an index is 2 * point + (1 if the
+    piece lies in S). ValueError for break angles that are not antipodal
+    pairs."""
+    Z = model.Z
+    annuli = [(0.0, r_max)] if Z >= r_max else [(0.0, Z), (Z, r_max)]  # S^c, then S
+    radial, second = [], []
+    radial_at, second_at = [], []
+    shifts = []
+    for i, w in enumerate(ws):
+        rho = float(np.linalg.norm(w))
+        frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
+        shifts.append(frame_shift)
+        brk = sector_break_angles(model, frame_shift).tolist()
+        half = len(brk) // 2
+        if len(brk) % 2 or np.any(np.abs(np.subtract(brk[half:], brk[:half]) - math.pi) > 1e-12):
+            raise ValueError("the label-change angles are not antipodally symmetric")
+        pieces = [(p1, p2, ra, rb, 2 * i + j) for p1, p2 in zip(brk[:half], brk[1:half + 1])
+                  for j, (ra, rb) in enumerate(annuli)]  # the half-plane [brk[0], brk[0] + pi]
+        # the observed label is constant on each sector x annulus piece: label its midpoint
+        phi = np.array([0.5 * (p1 + p2) for p1, p2, *_ in pieces]) + frame_shift
+        r = np.array([0.5 * (ra + rb) for _, _, ra, rb, _ in pieces])
+        labels = corrupt_labels(model, r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=1))[0]
+        for (p1, p2, ra, rb, at), y in zip(pieces, labels.tolist()):
+            s1, s2 = math.sin(p1), math.sin(p2)
+            for a, b in split_at(radial_kinks(loss, rho, y, s1, s2), ra, rb):
+                radial.append((a, b, -y * rho * s1, -y * rho * s2, rho))
+                radial_at.append(at)
+            if loss.kind == "logistic":
+                second.append((y, rho, p1, p2, ra, rb))
+                second_at.append(at)
+                continue
+            for a, b in split_at(angular_kinks(rho, y, ra, rb), p1, p2):
+                second.append((a, b, y, rho, ra, rb))
+                second_at.append(at)
+    return np.array(radial), np.array(radial_at), np.array(second), np.array(second_at), np.array(shifts)
+
+
 def reference_population_grad(loss, w, spec, model, quad):
     """(grad, error) of oracle.convex_population_grad by one integration per
     piece: each piece labeled by the scalar apply_noise at its midpoint,
@@ -273,7 +354,7 @@ def reference_population_grad(loss, w, spec, model, quad):
     frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
     r_max = oracle._auto_r_max(spec, quad.tol)
     annuli = [(0.0, r_max)] if model.Z >= r_max else [(0.0, model.Z), (model.Z, r_max)]
-    brk = oracle._sector_break_angles(model, frame_shift).tolist()
+    brk = sector_break_angles(model, frame_shift).tolist()
     grad, err = np.zeros(2), quad.tol / 10.0
     for p1, p2 in zip(brk, brk[1:] + [brk[0] + 2.0 * math.pi]):
         s1, s2 = math.sin(p1), math.sin(p2)
@@ -293,7 +374,7 @@ def reference_population_grad(loss, w, spec, model, quad):
                 hi = np.maximum(hi, ra)
                 return (-y * s) * oracle._partial_m2(spec, ra, hi)
 
-            for a, b in oracle._split_at(oracle._radial_kinks(loss, rho, y, s1, s2), ra, rb):
+            for a, b in split_at(radial_kinks(loss, rho, y, s1, s2), ra, rb):
                 v, e = integrate_refining(radial, a, b, quad.tol, oracle._RADIAL_PANELS, oracle._MAX_DOUBLINGS,
                                           geometric=a > 0.0)
                 grad[0] += v
@@ -302,7 +383,7 @@ def reference_population_grad(loss, w, spec, model, quad):
                 pieces = [_tensor_cell(loss, spec, rho, y, p1, p2, ra, rb, quad)]
             else:
                 pieces = [integrate_refining(angular, a, b, quad.tol, oracle._ANGULAR_PANELS, oracle._MAX_DOUBLINGS)
-                          for a, b in oracle._split_at(oracle._angular_kinks(rho, y, ra, rb), p1, p2)]
+                          for a, b in split_at(angular_kinks(rho, y, ra, rb), p1, p2)]
             for v, e in pieces:
                 grad[1] += v
                 err += e

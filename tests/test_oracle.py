@@ -399,23 +399,72 @@ def test_scan_cone_under_a_counting_driver(monkeypatch):
        star_angle=st.floats(-math.pi, math.pi),
        theta2=st.floats(0.0, math.pi / 4.0, exclude_min=True))
 def test_break_angles_are_antipodal_pairs(w_angle, star_angle, theta2):
-    # the half-plane rule's premise, checked as _gradients checks it
+    # the half-plane rule's premise, checked as _rule_rows checks it: four
+    # distinct angles in antipodal pairs, the scalar form's angles
     model = far_flip(rotate2d(E2, star_angle), Z=2.0, theta2=theta2)
     w = rotate2d(E2, w_angle)
-    frame_shift = math.atan2(w[1], w[0]) - math.pi / 2.0
-    brk = oracle._sector_break_angles(model, frame_shift)
-    assert brk.size == 4
-    assert np.all(np.abs(brk[2:] - brk[:2] - math.pi) <= 1e-12)
+    shifts = np.array([math.atan2(w[1], w[0]) - math.pi / 2.0])
+    brk = oracle._break_angles(model, shifts)
+    assert brk.shape == (1, 4)
+    assert np.all(np.diff(brk) > 0.0)
+    assert np.all(np.abs(brk[:, 2:] - brk[:, :2] - math.pi) <= 1e-12)
+    assert np.array_equal(brk[0], helpers.sector_break_angles(model, shifts[0]))
 
 
 def test_asymmetric_break_angles_raise(monkeypatch):
+    # the check holds for every point of a call: only the last point of a
+    # scan gets the bad angles. np.unique merges a repeated angle, so the
+    # scalar form raises on one repeat (three angles left) but takes a
+    # doubly repeated pair as one antipodal pair; the array form needs four
+    # distinct angles and raises on both (its rows always hold four)
     spec = dist.gaussian(2)
-    model, _, _ = _standard_model(spec)
-    monkeypatch.setattr(oracle, "_sector_break_angles",
-                        lambda model, frame_shift: np.array([0.1, 1.0, 0.1 + math.pi, 1.0 + math.pi + 1e-9]))
-    with pytest.raises(ValueError, match="antipodally symmetric"):
-        convex_population_grad(LOGISTIC, E2, spec, model)
-    monkeypatch.setattr(oracle, "_sector_break_angles",
-                        lambda model, frame_shift: np.array([0.1, 1.0, 0.1 + math.pi]))
-    with pytest.raises(ValueError, match="antipodally symmetric"):
-        convex_population_grad(LOGISTIC, E2, spec, model)
+    model, Z, theta = _standard_model(spec)
+    break_angles = oracle._break_angles
+    for angles, scalar_raises in (([0.1, 1.0, 0.1 + math.pi, 1.0 + math.pi + 1e-9], True),  # a pair off by 1e-9
+                                  ([0.1, 1.0, 1.0, 0.1 + math.pi], True),  # a repeated angle
+                                  ([0.1, 0.1, 0.1 + math.pi, 0.1 + math.pi], False)):  # a repeated pair
+        monkeypatch.setattr(oracle, "_break_angles",
+                            lambda model, shifts: np.array([*break_angles(model, shifts)[:-1].tolist(), angles]))
+        with pytest.raises(ValueError, match="antipodally symmetric"):
+            convex_population_grad(LOGISTIC, E2, spec, model)
+        with pytest.raises(ValueError, match="antipodally symmetric"):
+            scan_cone(HINGE, spec, Z, theta, grid_points=3)
+        monkeypatch.setattr(helpers, "sector_break_angles", lambda model, frame_shift: np.unique(angles))
+        if scalar_raises:
+            with pytest.raises(ValueError, match="antipodally symmetric"):
+                helpers.reference_rule_rows(LOGISTIC, model, [E2], 10.0)
+        else:
+            helpers.reference_rule_rows(LOGISTIC, model, [E2], 10.0)
+
+
+_ROW_SPECS = {"gaussian": dist.gaussian(2), "logconcave": dist.log_concave(),
+              "heavy_tailed_s3": dist.heavy_tailed(3.0), "heavy_tailed_s5": dist.heavy_tailed(5.0)}
+
+
+def _bitwise_equal(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("star", [0.0, 1.1])
+@pytest.mark.parametrize("opt", [0.01, 0.2, 0.6])
+@pytest.mark.parametrize("family", list(_ROW_SPECS))
+@pytest.mark.parametrize("kind", oracle.ORACLE_KINDS)
+def test_rule_rows_match_the_per_point_loop(kind, family, opt, star):
+    # _rule_rows against the scalar per-point loop: every row, its
+    # order and its index, bitwise, at norms from 0.05 to 1000 and angles in
+    # and far outside the cone; with two annuli (Z < r_max) and with one
+    spec = _ROW_SPECS[family]
+    Z = dist.z_for_tail_mass(spec, opt)
+    theta = admissible_theta(spec, Z)
+    w_star = rotate2d(E2, star)
+    model = far_flip(w_star, Z=Z, theta2=2.0 * theta)
+    angles = np.array([-theta, 0.0, theta, 0.8, -1.9, 2.6, math.pi])
+    ws = [rotate2d(w_star, float(ang)) * rho for ang, rho in zip(angles, np.geomspace(0.05, 1000.0, 7))]
+    r_max = oracle._auto_r_max(spec, QuadratureSpec().tol)
+    assert Z < r_max
+    for annuli, r in ((2, r_max), (1, Z)):
+        got = oracle._rule_rows(convex_surrogate(kind), model, ws, r)
+        ref = helpers.reference_rule_rows(convex_surrogate(kind), model, ws, r)
+        assert all(_bitwise_equal(g, f) for g, f in zip(got, ref))
+        assert set(got[1] % 2) == set(range(annuli))
