@@ -123,7 +123,7 @@ def _subgradient(loss, X, y, w0, gtol, max_iter, workers):
     return best_w, best_norm, max_iter
 
 
-def full_batch_minimize(loss: ConvexSurrogate, X, y, w0=None, gtol: float = 1e-6,
+def full_batch_minimize(loss: ConvexSurrogate, X, y, w0, gtol: float = 1e-6,
                         max_iter: int = 500, workers: int = 1):
     """Minimize mean l(-y <x, w>) over w; returns (w, grad_norm, iterations).
 
@@ -133,9 +133,6 @@ def full_batch_minimize(loss: ConvexSurrogate, X, y, w0=None, gtol: float = 1e-6
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if w0 is None:
-        w0 = np.zeros(X.shape[1])
-        w0[-1] = 1.0
     if loss.kind in ("logistic", "squared_hinge"):
         return _newton(loss, X, y, w0, gtol, max_iter, workers)
     return _subgradient(loss, X, y, w0, gtol, max_iter * 20, workers)

@@ -126,9 +126,9 @@ def parse_config(path: str, command: str) -> dict:
     schema = _SCHEMAS[command]
     cfg = {k: default for k, (_, default, _) in schema.items()}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -183,13 +183,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, command: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        fh.write(f"# halfspace-sgd-{__version__} command={command} schema=1\n")
+def _write_csv(fh, command: str, header: list[str], rows: list[list]) -> None:
+    """Write the table and its summary comment to the open file fh, and
+    flush it, so a write error raises here."""
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    fh.write(f"# halfspace-sgd-{__version__} command={command} schema=1\n")
+    fh.flush()
 
 
 def _failure_row(width: int, message: str) -> list:
@@ -420,16 +422,22 @@ def main(argv=None) -> int:
         print(f"halfspace-bench: config error: {exc}", file=sys.stderr)
         return 2
 
-    rows, failed = _collect(run(args.workers), len(header))
-
-    if args.command == "lowerbound":
-        failed = failed or any(not bool(row[-1]) or row[0] == "FAILED" for row in rows)
-
     try:
-        _write_csv(args.out, args.command, header, rows)
+        out = open(args.out, "w", newline="")  # before any group runs: a path that cannot be written costs no run
     except OSError as exc:
         print(f"halfspace-bench: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
+    with out:
+        rows, failed = _collect(run(args.workers), len(header))
+
+        if args.command == "lowerbound":
+            failed = failed or any(not bool(row[-1]) or row[0] == "FAILED" for row in rows)
+
+        try:
+            _write_csv(out, args.command, header, rows)
+        except OSError as exc:
+            print(f"halfspace-bench: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     print(f"[halfspace-bench] {args.command}: wrote {len(rows)} rows to {args.out}")
     return 1 if failed else 0
 

@@ -28,8 +28,7 @@ radius: ||x|| ~ Gamma(2, scale 1/c) for logconcave, and ||x||/a_s ~
 BetaPrime(2, s) = Gamma(2)/Gamma(s) for heavy_tailed. For every family, n
 points drawn in blocks of any sizes equal one draw of n (SampleStream). The
 tail quantile and the oracle's truncation radius invert decreasing closed
-forms with one bracketing bisection, _invert_decreasing. Every family's
-well-behavedness constants (U, R) are closed forms too (well_behaved_params).
+forms with one bracketing bisection, _invert_decreasing.
 
 numpy has no erfc, so the odd-d Gaussian tails use _erfc, an array form of
 W. J. Cody's three-range rational Chebyshev approximations ("Rational
@@ -46,7 +45,6 @@ import numpy as np
 
 __all__ = [
     "DistributionSpec",
-    "WellBehavedParams",
     "gaussian",
     "log_concave",
     "heavy_tailed",
@@ -60,7 +58,6 @@ __all__ = [
     "truncated_second_moment",
     "mean_norm",
     "z_for_tail_mass",
-    "well_behaved_params",
 ]
 
 _C_LC = 2.0 * math.sqrt(3.0)  # exponential decay rate of the log-concave family
@@ -383,47 +380,3 @@ class SampleStream:
         np.multiply(np.cos(phi), r, out=xy[:, 0])
         np.multiply(np.sin(phi), r, out=xy[:, 1])
         return xy
-
-
-# ---------------------------------------------------------------------------
-# well-behavedness constants (U, R)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WellBehavedParams:
-    """Anti-anti-concentration radius R and envelope constant U.
-
-    The density is >= 1/U on the disk ||x|| <= R, and the radial envelope
-    t(r) = gamma(r) satisfies sup t <= U, integral of t <= U and integral of
-    ||x|| t <= U. R is chosen to maximize R^4/U^3, the combination gating the
-    surrogate analysis.
-    """
-
-    family: str
-    U: float
-    R: float
-
-
-def well_behaved_params(spec: DistributionSpec) -> WellBehavedParams:
-    """(U, R) of the spec's 2D projection, in closed form.
-
-    The envelope bounds hold for U >= u0 = max(gamma(0), 1, E||x||), so the
-    least U for a radius R is max(u0, 1/gamma(R)). 1/gamma increases and
-    reaches u0 at R0 (R0 = 0 if 1/gamma(0) >= u0). Below R0, R^4/U^3 grows
-    like R^4; above it, it is R^4 gamma(R)^3, which has a single stationary
-    point R* (2/sqrt3, 2/(3 sqrt3) and 4 a_s/(3s + 2) for the three
-    families). Hence R = max(R*, R0).
-    """
-    spec = DistributionSpec(spec.family, 2, spec.s)  # every family projects to itself
-    g0 = float(radial_density(spec, 0.0))
-    u0 = max(g0, 1.0, mean_norm(spec))
-    q0 = max(1.0, u0 * g0)  # gamma(0)/gamma(R0)
-    if spec.family == "gaussian":
-        r_star, r0 = 2.0 / math.sqrt(3.0), math.sqrt(2.0 * math.log(q0))
-    elif spec.family == "logconcave":
-        r_star, r0 = 4.0 / (3.0 * _C_LC), math.log(q0) / _C_LC
-    else:
-        a = solve_isotropic_params(spec.s)[0]
-        r_star, r0 = 4.0 * a / (3.0 * spec.s + 2.0), a * (q0 ** (1.0 / (2.0 + spec.s)) - 1.0)
-    R = max(r_star, r0)
-    return WellBehavedParams(spec.family, U=max(u0, 1.0 / float(radial_density(spec, R))), R=R)

@@ -1,8 +1,8 @@
 """Unit-sphere vector geometry shared by every module.
 
 All halfspaces are homogeneous: h_w(x) = sign(<w, x>) with w on the unit
-sphere. The sign convention is sign(0) = +1: halfspace_labels, the label rule
-noise.corrupt_labels and the learner's zero-one scoring all read a zero
+sphere. The sign convention is sign(0) = +1: the label rule
+noise.corrupt_labels and the learner's zero-one scoring both read a zero
 margin as +1.
 """
 
@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "project_to_sphere",
     "angle_between",
-    "halfspace_labels",
     "unit_vector",
     "rotate2d",
 ]
@@ -58,15 +57,6 @@ def angle_between(u, v) -> float:
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     return 2.0 * math.atan2(float(np.linalg.norm(u - v)), float(np.linalg.norm(u + v)))
-
-
-def halfspace_labels(w, X) -> np.ndarray:
-    """sign(<w, x>) with sign(0) = +1 for every row x of X; returns float +/-1."""
-    w = np.asarray(w, dtype=float)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != w.shape[0]:
-        raise ValueError(f"dimension mismatch: X {X.shape} vs w {w.shape}")
-    return np.where(X @ w >= 0.0, 1.0, -1.0)
 
 
 def rotate2d(v, angle: float) -> np.ndarray:

@@ -39,7 +39,6 @@ __all__ = [
     "NoiseModel",
     "LabeledDataset",
     "NoisyExampleStream",
-    "clean_labels",
     "far_flip",
     "corrupt_labels",
     "make_dataset",
@@ -94,11 +93,6 @@ def far_flip(w_star, Z: float, theta2: float) -> NoiseModel:
     return NoiseModel(w_star, theta2=float(theta2), Z=float(Z), w_tilde=w_tilde, w_perp=w_perp)
 
 
-def clean_labels(w_star) -> NoiseModel:
-    """The far-flip rule with no flip radius: sign(<w*, x>) for every x."""
-    return far_flip(w_star, Z=math.inf, theta2=math.pi / 4.0)
-
-
 def corrupt_labels(model: NoiseModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(observed labels, flip mask) of the rows of X: sign(<w*, x>), flipped
     on S \\ C. One X w* pass gives both the sign and the C test."""
@@ -106,7 +100,7 @@ def corrupt_labels(model: NoiseModel, X: np.ndarray) -> tuple[np.ndarray, np.nda
     in_s = np.sqrt(np.einsum("ij,ij->i", X, X)) >= model.Z
     in_c = margin * (X @ model.w_perp) <= 0.0
     flip = in_s & ~in_c
-    return np.where((margin >= 0.0) != flip, 1.0, -1.0), flip  # sign(0) = +1, as halfspace_labels
+    return np.where((margin >= 0.0) != flip, 1.0, -1.0), flip  # sign(0) = +1, as in geometry
 
 
 @dataclass

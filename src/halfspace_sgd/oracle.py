@@ -38,8 +38,7 @@ array passes of at most _BLOCK_NODES nodes; each row keeps its own stopping
 test and roundoff floor. The logistic tensor rule factors its integrand as
 a^T S b (radial weight a, angular weight b, slope S = (1 + tanh(t/2))/2),
 so only S is materialized. A row's arithmetic depends on that row alone, so
-convex_population_grad, the one-point case, equals the same point inside
-scan_cone bitwise.
+a point's gradient is bitwise the same alone as inside a scan_cone batch.
 
 Truncation: integrals stop at r_max chosen from the closed-form tails so the
 neglected mass contributes less than tol/10 (heavy-tailed families need
@@ -69,7 +68,6 @@ from .quadrature import GL_ORDER, QuadratureError, gl_panels, refine_by_doubling
 __all__ = [
     "QuadratureSpec",
     "ConeScanReport",
-    "convex_population_grad",
     "admissible_theta",
     "predicted_floor",
     "scan_cone",
@@ -352,26 +350,6 @@ def _gradients(loss: ConvexSurrogate, spec, model: NoiseModel, ws, quad: Quadrat
     parts = np.stack([cos * parts[:, 0] - sin * parts[:, 1], sin * parts[:, 0] + cos * parts[:, 1]], axis=1)
     in_s, in_sc = parts[1::2], parts[0::2]
     return in_s + in_sc, errors, in_s, in_sc
-
-
-def convex_population_grad(loss: ConvexSurrogate, w, spec, model: NoiseModel,
-                           quad: QuadratureSpec = QuadratureSpec()) -> tuple[np.ndarray, float, dict]:
-    """grad C(w) = E[-y x l'(-y <x, w>)] under the model's label rule.
-
-    Returns (grad, error estimate, {'S': grad over S, 'Sc': grad over S^c}),
-    all in the original coordinates. Raises ValueError for a loss not in
-    ORACLE_KINDS, and QuadratureError if panel doubling fails to converge or
-    quad.tol is below the roundoff floor of an integral; never returns a
-    silent estimate. This is the one-point case of the scan
-    path, so it equals the same point inside scan_cone bitwise.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.shape != (2,) or float(np.linalg.norm(w)) == 0.0:
-        raise ValueError("w must be a nonzero 2D vector")
-    if spec.dim != 2:
-        raise ValueError("the population oracle is two-dimensional")
-    grads, errors, in_s, in_sc = _gradients(loss, spec, model, [w], quad)
-    return grads[0], float(errors[0]), {"S": in_s[0], "Sc": in_sc[0]}
 
 
 def admissible_theta(spec, Z: float) -> float:

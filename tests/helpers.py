@@ -5,15 +5,16 @@ row-wise paths of the package.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd import oracle
-from halfspace_sgd.geometry import angle_between, halfspace_labels, rotate2d, unit_vector
+from halfspace_sgd.geometry import angle_between, rotate2d, unit_vector
 from halfspace_sgd.learner import derive_seed, zero_one_errors
 from halfspace_sgd.losses import sigmoid, surrogate_grad_rows
-from halfspace_sgd.noise import corrupt_labels, make_dataset
+from halfspace_sgd.noise import corrupt_labels, far_flip, make_dataset
 from halfspace_sgd.optimizer import batch_grad_norms
 from halfspace_sgd.quadrature import gl_panels, refine_by_doubling
 
@@ -79,6 +80,16 @@ def halfspace_label(w, x) -> int:
     return 1 if float(np.dot(w, x)) >= 0.0 else -1
 
 
+def halfspace_labels(w, X) -> np.ndarray:
+    """sign(<w, x>) with sign(0) = +1 for every row x of X; returns float +/-1.
+    The row form of halfspace_label."""
+    w = np.asarray(w, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != w.shape[0]:
+        raise ValueError(f"dimension mismatch: X {X.shape} vs w {w.shape}")
+    return np.where(X @ w >= 0.0, 1.0, -1.0)
+
+
 def region_membership(model, x) -> tuple[bool, bool]:
     """(in C, in S) for one point: the far-flip regions, one example at a time."""
     x = np.asarray(x, dtype=float)
@@ -92,6 +103,11 @@ def apply_noise(model, x, clean_y: int) -> int:
     The scalar oracle for noise.corrupt_labels."""
     in_c, in_s = region_membership(model, x)
     return int(-clean_y) if (in_s and not in_c) else int(clean_y)
+
+
+def clean_labels(w_star):
+    """The far-flip rule with no flip radius: sign(<w*, x>) for every x."""
+    return far_flip(w_star, Z=math.inf, theta2=math.pi / 4.0)
 
 
 def _normalized_margin(w: np.ndarray, x: np.ndarray, y: float) -> float:
@@ -202,11 +218,51 @@ def quad_tail_mass(spec, Z, tol=1e-12):
     return v1 + v2
 
 
+@dataclass(frozen=True)
+class WellBehavedParams:
+    """Anti-anti-concentration radius R and envelope constant U.
+
+    The density is >= 1/U on the disk ||x|| <= R, and the radial envelope
+    t(r) = gamma(r) satisfies sup t <= U, integral of t <= U and integral of
+    ||x|| t <= U. R is chosen to maximize R^4/U^3, the combination gating the
+    surrogate analysis.
+    """
+
+    family: str
+    U: float
+    R: float
+
+
+def well_behaved_params(spec) -> WellBehavedParams:
+    """The paper's (U, R) of the spec's 2D projection, in closed form.
+
+    The envelope bounds hold for U >= u0 = max(gamma(0), 1, E||x||), so the
+    least U for a radius R is max(u0, 1/gamma(R)). 1/gamma increases and
+    reaches u0 at R0 (R0 = 0 if 1/gamma(0) >= u0). Below R0, R^4/U^3 grows
+    like R^4; above it, it is R^4 gamma(R)^3, which has a single stationary
+    point R* (2/sqrt3, 2/(3 sqrt3) and 4 a_s/(3s + 2) for the three
+    families). Hence R = max(R*, R0).
+    """
+    spec = dist.DistributionSpec(spec.family, 2, spec.s)  # every family projects to itself
+    g0 = float(dist.radial_density(spec, 0.0))
+    u0 = max(g0, 1.0, dist.mean_norm(spec))
+    q0 = max(1.0, u0 * g0)  # gamma(0)/gamma(R0)
+    if spec.family == "gaussian":
+        r_star, r0 = 2.0 / math.sqrt(3.0), math.sqrt(2.0 * math.log(q0))
+    elif spec.family == "logconcave":
+        r_star, r0 = 4.0 / (3.0 * dist._C_LC), math.log(q0) / dist._C_LC
+    else:
+        a = dist.solve_isotropic_params(spec.s)[0]
+        r_star, r0 = 4.0 * a / (3.0 * spec.s + 2.0), a * (q0 ** (1.0 / (2.0 + spec.s)) - 1.0)
+    R = max(r_star, r0)
+    return WellBehavedParams(spec.family, U=max(u0, 1.0 / float(dist.radial_density(spec, R))), R=R)
+
+
 def search_well_behaved_params(spec):
     """(U, R) by direct search: a grid over R, then ternary refinement, of
     R^4/U(R)^3 with U(R) the least constant bounding the density over the
     disk ||x|| <= R and the envelope integrals; the reference the closed form
-    of dist.well_behaved_params is checked against."""
+    of well_behaved_params is checked against."""
     u0 = max(float(dist.radial_density(spec, 0.0)), 1.0, dist.mean_norm(spec))
 
     def u_of(rr: float) -> float:
@@ -343,8 +399,29 @@ def reference_rule_rows(loss, model, ws, r_max: float):
     return np.array(radial), np.array(radial_at), np.array(second), np.array(second_at), np.array(shifts)
 
 
+def convex_population_grad(loss, w, spec, model, quad=oracle.QuadratureSpec()):
+    """grad C(w) = E[-y x l'(-y <x, w>)] under the model's label rule: the
+    one-point case of the oracle's batched path (oracle._gradients).
+
+    Returns (grad, error estimate, {'S': grad over S, 'Sc': grad over S^c}),
+    all in the original coordinates. Raises ValueError for a w that is not a
+    nonzero 2D vector, a spec that is not 2D or a loss not in
+    oracle.ORACLE_KINDS, and QuadratureError if panel doubling fails to
+    converge or quad.tol is below the roundoff floor of an integral. A point
+    sums only its own pieces, so this equals the same point inside scan_cone
+    bitwise.
+    """
+    w = np.asarray(w, dtype=float)
+    if w.shape != (2,) or float(np.linalg.norm(w)) == 0.0:
+        raise ValueError("w must be a nonzero 2D vector")
+    if spec.dim != 2:
+        raise ValueError("the population oracle is two-dimensional")
+    grads, errors, in_s, in_sc = oracle._gradients(loss, spec, model, [w], quad)
+    return grads[0], float(errors[0]), {"S": in_s[0], "Sc": in_sc[0]}
+
+
 def reference_population_grad(loss, w, spec, model, quad):
-    """(grad, error) of oracle.convex_population_grad by one integration per
+    """(grad, error) of convex_population_grad by one integration per
     piece: each piece labeled by the scalar apply_noise at its midpoint,
     integrate_refining on every kink-split interval and one elementwise
     tensor refinement per logistic cell, summed piece by piece; the

@@ -14,7 +14,7 @@ import pytest
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.cli import main as cli_main
-from halfspace_sgd.geometry import angle_between, halfspace_labels, unit_vector
+from halfspace_sgd.geometry import angle_between, unit_vector
 from halfspace_sgd.learner import LearnerConfig, default_holdout_size, learn_batch
 from halfspace_sgd.losses import convex_surrogate
 from halfspace_sgd.noise import NoisyExampleStream, far_flip, make_dataset
@@ -22,6 +22,7 @@ from halfspace_sgd.optimizer import PsgdConfig, psgd_lockstep
 from halfspace_sgd.oracle import admissible_theta, predicted_floor, scan_cone
 from halfspace_sgd.baselines import full_batch_minimize
 from helpers import (
+    halfspace_labels,
     ks_uniform,
     least_squares_line,
     quad_tail_mass,

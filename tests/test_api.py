@@ -1,13 +1,16 @@
 """The public surface resolves: every module's __all__, every name the
 package __init__ imports, and every (module, attribute) pair the benchmark's
-tracer wraps (bench/spans.py TARGETS). Every exported name is used by the
-package itself, so test-only forms stay in tests/helpers.py, and every report
-field reaches a row the CLI writes, so no field is computed for no output."""
+tracer wraps (bench/spans.py TARGETS). Every exported name has a reader (the
+package itself, the README tour or the tracer), so test-only forms stay in
+tests/helpers.py; the package root holds exactly the tour's names, and the
+tour runs. Every report field reaches a row the CLI writes, so no field is
+computed for no output."""
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -45,26 +48,56 @@ def test_package_imports_resolve():
         assert getattr(module, attr) is getattr(halfspace_sgd, attr), (module_name, attr)
 
 
+def _tour() -> str:
+    """The code block of README.md's library tour."""
+    readme = (ROOT / "README.md").read_text()
+    return readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _tour_imports() -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(_tour())) if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+
+
+def _spans_targets() -> list:
+    # Only read TARGETS: install() would patch the modules for the session.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
 def test_every_exported_name_is_used_in_the_package():
-    # a name in a module's __all__ must be read somewhere in src/ (a name or
-    # an attribute, not its own def/class or __all__ entry) or be imported by
-    # __init__; otherwise it is test-only API and belongs in tests/helpers.py
+    # a name stays in a module's __all__ only if one of three readers reads
+    # it: code in src/ outside its own top-level def or class, the README
+    # tour's import block, or a span the benchmark's tracer wraps; otherwise
+    # it is test-only API and belongs in tests/helpers.py
     trees = {p.stem: ast.parse(p.read_text()) for p in (ROOT / "src" / "halfspace_sgd").glob("*.py")}
-    used = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    used.update(alias.name for node in ast.walk(trees["__init__"]) if isinstance(node, ast.ImportFrom)
-                for alias in node.names)
-    unused = []
+    reads = [(module_name, getattr(stmt, "name", None),
+              {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(stmt)
+               if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)})
+             for module_name, tree in trees.items() for stmt in tree.body]
+    tour = _tour_imports()
+    traced = {(module_name, attr.split(".")[0]) for module_name, attr, _count in _spans_targets()}
+    unread = []
     for module_name, tree in sorted(trees.items()):
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                unused += [f"{module_name}.{name}" for name in ast.literal_eval(node.value) if name not in used]
-    assert unused == []
+                unread += [f"{module_name}.{name}" for name in ast.literal_eval(node.value)
+                           if name not in tour and (module_name, name) not in traced
+                           and not any(name in names for owner_module, owner, names in reads
+                                       if (owner_module, owner) != (module_name, name))]
+    assert unread == []
+
+
+@pytest.mark.slow
+def test_readme_tour_runs_on_the_package_names():
+    # the package root exports exactly what the tour imports (plus
+    # __version__), and the tour runs as printed
+    exported = {name for name, value in vars(halfspace_sgd).items()
+                if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == _tour_imports()
+    exec(compile(_tour(), "README.md (library tour)", "exec"), {})
 
 
 class _Sentinel(float):

@@ -16,8 +16,11 @@ from halfspace_sgd.cli import main, parse_config
 from halfspace_sgd.distributions import block_rows
 
 
-def _write(path: Path, text: str) -> str:
-    path.write_text(text)
+def _write(path: Path, text: str | bytes) -> str:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -152,18 +155,33 @@ def test_malformed_line_exits_2(tmp_path):
     ("compare", _with(TINY_COMPARE, "opt_list = 0.3"), [], "opt_list"),
     ("compare", _with(TINY_COMPARE, "family = heavy_tailed", "s = inf"), [], "s = inf"),
     ("lowerbound", _with(TINY_LOWERBOUND, "families = heavy_tailed", "s = 1e300"), [], "s = 1e+300"),
+    ("learn", TINY_LEARN.encode("utf-16"), [], "cannot read config file"),  # starts with bytes 0xff 0xfe
 ], ids=["negative-workers", "logconcave-d10", "unknown-family", "unknown-loss", "s-at-2",
         "squared-hinge-heavy", "d-1", "stride-0", "t_cap-0", "eval_size-0", "holdout_size-neg",
         "grid-neg", "theta2-1", "epsilon-2", "rho-neg", "rho-0", "conv_n-0", "holdout_k-0",
         "grid_points-0", "opt-0", "tol-0", "tol-nan", "gtol-neg", "gtol-nan", "rho-inf", "grid-inf",
         "opt-1", "epsilon-tiny-default-holdout", "seed_base-neg", "compare-no-losses", "holdout_k-inf",
         "epsilon-1e-100-default-holdout", "holdout_size-1e18", "squared-hinge-gaussian", "repeated-key",
-        "seeds-0", "lowerbound-no-families", "compare-opt-0.3", "s-inf", "s-1e300"])
+        "seeds-0", "lowerbound-no-families", "compare-opt-0.3", "s-inf", "s-1e300", "not-utf8"])
 def test_bad_input_exits_2_before_any_work(tmp_path, capsys, command, text, flags, needle):
     out = tmp_path / "o.csv"
     cfg = _write(tmp_path / "c.txt", text)
     assert main([command, "--config", cfg, "--out", str(out)] + flags) == 2
     assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_2_before_any_work(tmp_path, capsys, monkeypatch):
+    # the output file is opened before the first group runs, so a path that
+    # cannot be written costs no run
+    def learn_batch(*args, **kwargs):
+        raise AssertionError("a group ran before the output file was opened")
+
+    monkeypatch.setattr(cli, "learn_batch", learn_batch)
+    cfg = _write(tmp_path / "c.txt", TINY_LEARN)
+    out = tmp_path / "nodir" / "o.csv"
+    assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
     assert not out.exists()
 
 

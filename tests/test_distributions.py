@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
-from helpers import gauss_chi_tail_math_erfc, integrate_refining, radial_cdf, search_well_behaved_params
+from helpers import (
+    gauss_chi_tail_math_erfc,
+    integrate_refining,
+    radial_cdf,
+    search_well_behaved_params,
+    well_behaved_params,
+)
 
 ALL_2D = lambda: (dist.gaussian(2), dist.log_concave(), dist.heavy_tailed(3.0))
 
@@ -316,7 +322,7 @@ def test_sample_covariance_matches_density_covariance(family_idx):
 def test_closed_form_constants_match_search():
     heavy = tuple(dist.heavy_tailed(s) for s in (2.1, 2.5, 3.0, 4.0, 8.0))
     for spec in (dist.gaussian(2), dist.log_concave()) + heavy:
-        p = dist.well_behaved_params(spec)
+        p = well_behaved_params(spec)
         U, R = search_well_behaved_params(spec)
         assert p.U == pytest.approx(U, rel=1e-7), spec
         assert p.R == pytest.approx(R, rel=1e-7), spec
@@ -324,7 +330,7 @@ def test_closed_form_constants_match_search():
 
 def test_constants_satisfy_definition():
     for spec in ALL_2D() + (dist.heavy_tailed(2.5), dist.heavy_tailed(8.0)):
-        p = dist.well_behaved_params(spec)
+        p = well_behaved_params(spec)
         r = np.linspace(0.0, p.R, 200)
         assert np.all(dist.radial_density(spec, r) >= 1.0 / p.U - 1e-12)
         assert float(dist.radial_density(spec, 0.0)) <= p.U

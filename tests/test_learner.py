@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from halfspace_sgd import distributions as dist
 from halfspace_sgd import learner
-from halfspace_sgd.geometry import halfspace_labels, unit_vector
+from halfspace_sgd.geometry import unit_vector
 from halfspace_sgd.learner import (
     LearnerConfig,
     _zero_one_errors_2d,
@@ -19,9 +19,9 @@ from halfspace_sgd.learner import (
     learn_batch,
     zero_one_errors,
 )
-from halfspace_sgd.noise import LabeledDataset, NoisyExampleStream, clean_labels, far_flip, make_dataset
+from halfspace_sgd.noise import LabeledDataset, NoisyExampleStream, far_flip, make_dataset
 from halfspace_sgd.optimizer import PsgdConfig, psgd_lockstep
-from helpers import estimate_err01, reference_trial_report
+from helpers import clean_labels, estimate_err01, halfspace_labels, reference_trial_report
 
 
 def _seed_report(spec, group, config, seed, kept):

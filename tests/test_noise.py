@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 
 from halfspace_sgd import distributions as dist
-from halfspace_sgd.geometry import angle_between, halfspace_labels, rotate2d, unit_vector
+from halfspace_sgd.geometry import angle_between, rotate2d, unit_vector
 from halfspace_sgd.noise import (
     NoisyExampleStream,
-    clean_labels,
     corrupt_labels,
     far_flip,
     make_dataset,
 )
-from helpers import apply_noise, estimate_err01, halfspace_label, region_membership
+from helpers import apply_noise, clean_labels, estimate_err01, halfspace_label, halfspace_labels, region_membership
 
 E2 = unit_vector(2, 1)
 

@@ -6,10 +6,10 @@ import pytest
 from halfspace_sgd import distributions as dist
 from halfspace_sgd.geometry import angle_between, unit_vector
 from halfspace_sgd.learner import zero_one_errors
-from halfspace_sgd.noise import NoisyExampleStream, clean_labels, far_flip, make_dataset
+from halfspace_sgd.noise import NoisyExampleStream, far_flip, make_dataset
 from halfspace_sgd.losses import sigmoid_slope
 from halfspace_sgd.optimizer import PsgdConfig, _slope_factor, batch_grad_norms, psgd_lockstep
-from helpers import ArrayStream, loop_grad_norms, reference_psgd
+from helpers import ArrayStream, clean_labels, loop_grad_norms, reference_psgd, well_behaved_params
 
 
 def _solo(stream, config):
@@ -235,7 +235,7 @@ def test_stationarity_diagnostic_cone():
     # R^2/(64 U) make this a loose but faithful check; 10 seeds, 1 failure allowed
     spec = dist.gaussian(2)
     w_star = unit_vector(2, 1)
-    p = dist.well_behaved_params(spec)
+    p = well_behaved_params(spec)
     sigma = 0.01
     theta = 4.0 * math.sqrt(2.0) * math.pi * p.U / p.R * sigma
     floor = p.R**2 / (64.0 * p.U)

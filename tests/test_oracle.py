@@ -13,13 +13,18 @@ from halfspace_sgd.noise import corrupt_labels, far_flip
 from halfspace_sgd.oracle import (
     QuadratureSpec,
     admissible_theta,
-    convex_population_grad,
     predicted_floor,
     scan_cone,
 )
 from halfspace_sgd.quadrature import QuadratureError, gl_panels
 import helpers
-from helpers import grad_monte_carlo, integrate_refining, reference_population_grad, transverse_axis
+from helpers import (
+    convex_population_grad,
+    grad_monte_carlo,
+    integrate_refining,
+    reference_population_grad,
+    transverse_axis,
+)
 
 E2 = unit_vector(2, 1)
 LOGISTIC = convex_surrogate("logistic")
